@@ -2,7 +2,9 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -11,6 +13,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -163,13 +166,29 @@ func TestClusterSmoke(t *testing.T) {
 
 	// That proxied request produced ONE distributed trace spanning both
 	// processes: entry-side ingress/queue/proxy spans plus the owner's
-	// resolve/probe/simulate/persist, all under one trace ID.
-	if len(traced.TraceID) != 32 || traced.Trace == nil {
-		t.Fatalf("proxied job carries no trace: id=%q", traced.TraceID)
+	// resolve/probe/simulate/persist, all under one trace ID. A plain
+	// client reads it from the entry node's /trace.
+	if len(traced.TraceID) != 32 {
+		t.Fatalf("proxied job carries no trace ID: %q", traced.TraceID)
+	}
+	var jsonl bytes.Buffer
+	if err := api.NewClient(entryURL, nil).JobTrace(ctx, traced.ID, "jsonl", &jsonl); err != nil {
+		t.Fatalf("fetching the proxied job's trace: %v", err)
 	}
 	nodes := make(map[string]bool)
 	names := make(map[string]bool)
-	for _, sp := range traced.Trace.Spans {
+	for _, line := range strings.Split(strings.TrimSpace(jsonl.String()), "\n") {
+		var sp struct {
+			TraceID string `json:"trace_id"`
+			Name    string `json:"name"`
+			Node    string `json:"node"`
+		}
+		if err := json.Unmarshal([]byte(line), &sp); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		if sp.TraceID != traced.TraceID {
+			t.Errorf("span %s carries trace %s, want %s", sp.Name, sp.TraceID, traced.TraceID)
+		}
 		nodes[sp.Node] = true
 		names[sp.Name] = true
 	}

@@ -58,6 +58,15 @@ import (
 	"timekeeping/internal/store"
 )
 
+// Connection timeouts. A client gets readHeaderTimeout to send its request
+// headers and an idle keep-alive connection closes after idleTimeout.
+// There is no write timeout: a progress stream stays open for as long as
+// its job runs.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // printVersion writes the binary's build identity (module version, VCS
 // revision, Go toolchain) from the embedded build info.
 func printVersion(name string) {
@@ -178,7 +187,12 @@ func main() {
 		DisableTracing: !*tracing,
 		SlowRequest:    *slowReq,
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Addr:              *addr,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()

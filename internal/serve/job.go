@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"sort"
 	"sync"
 	"time"
 
@@ -21,6 +22,11 @@ var ErrQueueFull = errors.New("serve: job queue full")
 // ErrDraining is returned for submissions after shutdown has begun.
 var ErrDraining = errors.New("serve: shutting down")
 
+// maxFinishedJobs bounds the job table: past it, the job that finished
+// longest ago is dropped and its ID answers not_found. A finished run job
+// holds about 9 KB; queued and running jobs are never dropped.
+const maxFinishedJobs = 4096
+
 // job is the manager's mutable record behind an api.JobView snapshot. All
 // snap fields are guarded by manager.mu; prog is internally atomic.
 type job struct {
@@ -32,6 +38,7 @@ type job struct {
 	// hops. Both immutable after submit.
 	trace  *telemetry.Trace
 	rid    string
+	seq    int // submission order, for listing
 	ctx    context.Context
 	cancel context.CancelFunc
 	run    func(ctx context.Context, j *job) error
@@ -60,9 +67,12 @@ type manager struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*job
-	order    []string // submission order, for listing
 	seq      int
 	draining bool
+	// finished holds terminal jobs' IDs in completion order; past
+	// maxFinished (maxFinishedJobs outside tests) the oldest leaves jobs.
+	finished    []string
+	maxFinished int
 
 	queued, running           int
 	nDone, nFailed, nCanceled uint64
@@ -71,14 +81,15 @@ type manager struct {
 func newManager(workers, depth int, reg *obs.Registry, log *slog.Logger, srv *Server) *manager {
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &manager{
-		queue:      make(chan *job, depth),
-		baseCtx:    ctx,
-		baseCancel: cancel,
-		reg:        reg,
-		wall:       reg.Histogram("tkserve_job_wall_seconds", []float64{0.001, 0.01, 0.1, 1, 10, 60, 600}),
-		log:        log,
-		srv:        srv,
-		jobs:       make(map[string]*job),
+		queue:       make(chan *job, depth),
+		baseCtx:     ctx,
+		baseCancel:  cancel,
+		reg:         reg,
+		wall:        reg.Histogram("tkserve_job_wall_seconds", []float64{0.001, 0.01, 0.1, 1, 10, 60, 600}),
+		log:         log,
+		srv:         srv,
+		jobs:        make(map[string]*job),
+		maxFinished: maxFinishedJobs,
 	}
 	for i := 0; i < workers; i++ {
 		m.workers.Add(1)
@@ -117,6 +128,7 @@ func (m *manager) submit(kind, target string, parent context.Context, sink *even
 		return nil, ErrDraining
 	}
 	m.seq++
+	j.seq = m.seq
 	j.snap = api.JobView{
 		ID:          fmt.Sprintf("j%d", m.seq),
 		Kind:        kind,
@@ -145,7 +157,6 @@ func (m *manager) submit(kind, target string, parent context.Context, sink *even
 		return nil, ErrQueueFull
 	}
 	m.jobs[j.snap.ID] = j
-	m.order = append(m.order, j.snap.ID)
 	m.queued++
 	m.mu.Unlock()
 	m.log.Info("job queued", "job_id", j.snap.ID, "kind", kind, "target", target, "events", sink != nil)
@@ -195,6 +206,11 @@ func (m *manager) worker() {
 			j.snap.Error = err.Error()
 			m.nFailed++
 		}
+		m.finished = append(m.finished, j.snap.ID)
+		if len(m.finished) > m.maxFinished {
+			delete(m.jobs, m.finished[0])
+			m.finished = m.finished[1:]
+		}
 		snap := j.snap
 		m.mu.Unlock()
 
@@ -210,7 +226,8 @@ func (m *manager) worker() {
 		if m.srv != nil {
 			m.srv.maybeLogSlow(j, snap, fin.Sub(snap.SubmittedAt))
 		}
-		// The live gauges end with the run; history stays in the job table.
+		// The live gauges end with the run; history stays in the job table
+		// until maxFinished later jobs have finished.
 		m.reg.Unregister(jobGaugeName("refs_done", snap))
 		m.reg.Unregister(jobGaugeName("refs_expected", snap))
 		close(j.done)
@@ -263,7 +280,11 @@ func (m *manager) snapshot(j *job) api.JobView {
 	}
 	if j.trace != nil {
 		snap.TraceID = j.trace.TraceID()
-		snap.Trace = traceView(j)
+		// Only a caller that joined the trace merges its spans (a proxy
+		// hop sends its traceparent); anyone else reads /trace.
+		if j.trace.Joined() {
+			snap.Trace = traceView(j)
+		}
 	}
 	return snap
 }
@@ -277,14 +298,15 @@ func (m *manager) get(id string) (api.JobView, bool) {
 	return m.snapshot(j), true
 }
 
-// list returns snapshots of every job in submission order.
+// list returns snapshots of every job in the table, in submission order.
 func (m *manager) list() []api.JobView {
 	m.mu.Lock()
-	jobs := make([]*job, 0, len(m.order))
-	for _, id := range m.order {
-		jobs = append(jobs, m.jobs[id])
+	jobs := make([]*job, 0, len(m.jobs))
+	for _, j := range m.jobs {
+		jobs = append(jobs, j)
 	}
 	m.mu.Unlock()
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].seq < jobs[b].seq })
 	out := make([]api.JobView, 0, len(jobs))
 	for _, j := range jobs {
 		out = append(out, m.snapshot(j))

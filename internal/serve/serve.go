@@ -40,7 +40,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -98,14 +97,17 @@ type Config struct {
 	// events drop on overflow.
 	EventsCap int
 	// Logger receives structured request and job lifecycle logs (nil:
-	// logging disabled).
+	// logging disabled — the handler is off at every level, so no log
+	// line is built or formatted).
 	Logger *slog.Logger
 	// Node labels this node's spans and load report. Empty: the cluster
 	// self URL when clustered, else "local".
 	Node string
 	// DisableTracing turns off distributed trace recording (the zero
-	// value keeps tracing on; its overhead is a few span appends per
-	// request). Stage histograms stay on either way.
+	// value keeps tracing on). Recording is not free: in process on a
+	// 2-vCPU Xeon, a traced cache hit measured 1.05–1.28× the untraced
+	// p50 (119–143 µs against 104–125 µs); TestTelemetryOverhead logs
+	// the paired ratios. Stage histograms stay on either way.
 	DisableTracing bool
 	// SlowRequest is the job wall-time threshold above which one warning
 	// log line names the trace and its dominant stage (0: 10s; negative:
@@ -165,7 +167,7 @@ func New(cfg Config) *Server {
 		cfg.Base = sim.Default()
 	}
 	if cfg.Logger == nil {
-		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		cfg.Logger = slog.New(offHandler{})
 	}
 	if cfg.Store != nil {
 		cfg.Cache.SetTier(cfg.Store)
@@ -237,6 +239,10 @@ func (s *Server) Handler() http.Handler {
 		}
 		w.Header().Set(api.HeaderRequestID, rid)
 		r = r.WithContext(withRequestID(r.Context(), rid))
+		if !s.log.Enabled(r.Context(), slog.LevelInfo) {
+			s.mux.ServeHTTP(w, r)
+			return
+		}
 		lw := &loggingWriter{ResponseWriter: w}
 		start := time.Now()
 		s.mux.ServeHTTP(lw, r)
@@ -294,6 +300,16 @@ func (w *loggingWriter) status() int {
 	}
 	return w.code
 }
+
+// offHandler is the slog.Handler behind a nil Config.Logger: disabled at
+// every level, so a log call returns before building its record. It does
+// what slog.DiscardHandler does, which needs Go 1.24; go.mod targets 1.22.
+type offHandler struct{}
+
+func (offHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (offHandler) Handle(context.Context, slog.Record) error { return nil }
+func (h offHandler) WithAttrs([]slog.Attr) slog.Handler      { return h }
+func (h offHandler) WithGroup(string) slog.Handler           { return h }
 
 // Registry returns the server's metrics registry (service-level metrics;
 // the simulator core's cumulative counters live in obs.Default).
@@ -447,10 +463,7 @@ func filterError(err error) *api.Error {
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	var req api.RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, &api.Error{
-			Code: api.CodeBadRequest, Message: fmt.Sprintf("decoding request: %v", err),
-		})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	spec, err := workload.Profile(req.Bench)
@@ -669,13 +682,8 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req := api.ExperimentRequest{}
-	if r.ContentLength != 0 {
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeError(w, http.StatusBadRequest, &api.Error{
-				Code: api.CodeBadRequest, Message: fmt.Sprintf("decoding request: %v", err),
-			})
-			return
-		}
+	if r.ContentLength != 0 && !decodeBody(w, r, &req) {
+		return
 	}
 	for _, b := range req.Benches {
 		if _, err := workload.Profile(b); err != nil {
@@ -846,12 +854,36 @@ func unknownJob(id string) *api.Error {
 	return &api.Error{Code: api.CodeNotFound, Message: fmt.Sprintf("serve: unknown job %q", id)}
 }
 
+// maxRequestBody caps the JSON body of a run or experiment request; a
+// real one is a few hundred bytes.
+const maxRequestBody = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxRequestBody
+// bytes. On failure it answers the request itself (413 past the cap, 400
+// for anything else) and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, &api.Error{
+			Code:    api.CodeBadRequest,
+			Message: fmt.Sprintf("request body exceeds the %d-byte (1 MiB) limit", maxRequestBody),
+		})
+		return false
+	}
+	writeError(w, http.StatusBadRequest, &api.Error{
+		Code: api.CodeBadRequest, Message: fmt.Sprintf("decoding request: %v", err),
+	})
+	return false
+}
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // a gone client is the only failure
+	_ = json.NewEncoder(w).Encode(v) // a gone client is the only failure
 }
 
 // writeError sends the structured error envelope every non-2xx response

@@ -3,10 +3,13 @@ package serve
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -358,5 +361,95 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	_, err := cl.Run(context.Background(), fastRun)
 	if ae := apiError(t, err); ae.Code != api.CodeDraining || ae.HTTPStatus != http.StatusServiceUnavailable {
 		t.Fatalf("post-shutdown submit error = %+v", ae)
+	}
+}
+
+// TestRequestBodyCap: a body past 1 MiB on either decoding endpoint gets
+// 413 with the bad_request envelope naming the cap; a normal request
+// still runs.
+func TestRequestBodyCap(t *testing.T) {
+	_, ts, cl := newTestServer(t, Config{})
+	big := `{"bench":"eon","pad":"` + strings.Repeat("x", 2<<20) + `"}`
+	for _, path := range []string{"/v1/run", "/v1/experiments/fig1"} {
+		resp, err := ts.Client().Post(ts.URL+path, "application/json", strings.NewReader(big))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		var env api.ErrorEnvelope
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil || env.Err == nil {
+			t.Fatalf("%s: 2 MiB body answered %d without an error envelope (%v)", path, resp.StatusCode, err)
+		}
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || env.Err.Code != api.CodeBadRequest ||
+			!strings.Contains(env.Err.Message, "1048576") {
+			t.Fatalf("%s: 2 MiB body = %d %+v, want 413 bad_request naming the 1048576-byte cap", path, resp.StatusCode, env.Err)
+		}
+	}
+	j, err := cl.Run(context.Background(), fastRun)
+	if err != nil || j.Status != api.StatusDone {
+		t.Fatalf("normal run after oversized bodies: err=%v job=%+v", err, j)
+	}
+	if m := scrape(t, ts); m["tkserve_sim_runs_total"] != 1 {
+		t.Fatalf("oversized bodies simulated: %v", m)
+	}
+}
+
+// TestJobTableCap: the job table keeps at most maxFinished finished jobs
+// and drops the one that finished longest ago; a running job is never
+// dropped, and a dropped ID answers not_found.
+func TestJobTableCap(t *testing.T) {
+	s, ts, cl := newTestServer(t, Config{Workers: 2})
+	s.mgr.mu.Lock()
+	s.mgr.maxFinished = 2
+	s.mgr.mu.Unlock()
+	ctx := context.Background()
+	ids := func() []string {
+		t.Helper()
+		jobs, err := cl.Jobs(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, len(jobs))
+		for i, j := range jobs {
+			out[i] = j.ID
+		}
+		return out
+	}
+	gone := func(id string) {
+		t.Helper()
+		_, err := cl.Job(ctx, id)
+		if ae := apiError(t, err); ae.Code != api.CodeNotFound || ae.HTTPStatus != http.StatusNotFound {
+			t.Fatalf("dropped job %s = %+v, want not_found", id, ae)
+		}
+	}
+
+	long, err := cl.RunAsync(ctx, foreverRun) // j1 runs until cancelled
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitMetric(t, ts, "tkserve_jobs_running", 1)
+	for i := 0; i < 4; i++ { // j2..j5 finish in order
+		if _, err := cl.Run(ctx, fastRun); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := ids(), []string{"j1", "j4", "j5"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("job table = %v, want %v", got, want)
+	}
+	gone("j2")
+	gone("j3")
+
+	// j1 finishes last, so j4 — the oldest finished job — makes room.
+	if _, err := cl.CancelJob(ctx, long.ID); err != nil {
+		t.Fatal(err)
+	}
+	waitMetric(t, ts, "tkserve_jobs_canceled_total", 1)
+	if got, want := ids(), []string{"j1", "j5"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("job table after j1 finished = %v, want %v", got, want)
+	}
+	gone("j4")
+	if j, err := cl.Job(ctx, long.ID); err != nil || j.Status != api.StatusCanceled {
+		t.Fatalf("j1 after cancel: err=%v job=%+v", err, j)
 	}
 }

@@ -5,6 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -48,6 +51,35 @@ func spanNodes(tv *api.TraceView) []string {
 	return nodes
 }
 
+// jobTrace reads a job's trace the way a plain client does, from
+// /v1/jobs/{id}/trace?format=jsonl, checking that every span carries one
+// trace ID.
+func jobTrace(t *testing.T, cl *api.Client, id string) *api.TraceView {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := cl.JobTrace(context.Background(), id, "jsonl", &buf); err != nil {
+		t.Fatalf("jsonl trace of %s: %v", id, err)
+	}
+	tv := &api.TraceView{}
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var sp struct {
+			TraceID string `json:"trace_id"`
+			api.SpanView
+		}
+		if err := json.Unmarshal([]byte(line), &sp); err != nil {
+			t.Fatalf("jsonl line %q: %v", line, err)
+		}
+		if tv.TraceID == "" {
+			tv.TraceID = sp.TraceID
+		}
+		if sp.TraceID != tv.TraceID {
+			t.Fatalf("jsonl span trace ID %q != %q", sp.TraceID, tv.TraceID)
+		}
+		tv.Spans = append(tv.Spans, sp.SpanView)
+	}
+	return tv
+}
+
 // TestRequestIDReuse: a well-formed inbound X-Request-Id survives onto
 // the response (and hence the logs); garbage is replaced with a minted
 // ID.
@@ -78,7 +110,7 @@ func TestRequestIDReuse(t *testing.T) {
 	}
 }
 
-// TestTraceSingleNode: a synchronous run returns a trace whose spans
+// TestTraceSingleNode: a synchronous run records a trace whose spans
 // cover the full lifecycle, and /v1/jobs/{id}/trace exports it in both
 // formats.
 func TestTraceSingleNode(t *testing.T) {
@@ -90,10 +122,11 @@ func TestTraceSingleNode(t *testing.T) {
 	if len(j.TraceID) != 32 {
 		t.Fatalf("trace ID = %q, want 32 hex digits", j.TraceID)
 	}
-	if j.Trace == nil || j.Trace.TraceID != j.TraceID {
-		t.Fatalf("job view trace = %+v", j.Trace)
+	tv := jobTrace(t, cl, j.ID)
+	if tv.TraceID != j.TraceID {
+		t.Fatalf("exported trace %q, job view names %q", tv.TraceID, j.TraceID)
 	}
-	names := spanNames(j.Trace)
+	names := spanNames(tv)
 	for _, want := range []string{"ingress", "validate", "queue_wait", "resolve", "simulate"} {
 		if !names[want] {
 			t.Errorf("span %q missing from trace (have %v)", want, names)
@@ -116,37 +149,84 @@ func TestTraceSingleNode(t *testing.T) {
 	if !strings.Contains(chromeBuf.String(), j.TraceID) {
 		t.Fatal("chrome trace does not name the trace ID")
 	}
-
-	var jsonlBuf bytes.Buffer
-	if err := cl.JobTrace(context.Background(), j.ID, "jsonl", &jsonlBuf); err != nil {
-		t.Fatalf("jsonl trace: %v", err)
-	}
-	for _, line := range strings.Split(strings.TrimSpace(jsonlBuf.String()), "\n") {
-		var span struct {
-			TraceID string `json:"trace_id"`
-			Name    string `json:"name"`
-		}
-		if err := json.Unmarshal([]byte(line), &span); err != nil {
-			t.Fatalf("jsonl line %q: %v", line, err)
-		}
-		if span.TraceID != j.TraceID {
-			t.Fatalf("jsonl span trace ID %q != %q", span.TraceID, j.TraceID)
-		}
-	}
 }
 
 // TestTraceJoinsInbound: a valid inbound traceparent makes the server
-// join that trace instead of minting one.
+// join that trace instead of minting one, and the joined caller gets the
+// spans in the job view, rooted under its own span, to merge.
 func TestTraceJoinsInbound(t *testing.T) {
 	_, _, cl := newTestServer(t, Config{})
-	traceID := telemetry.NewTraceID()
-	ctx := api.WithTraceparent(context.Background(), telemetry.FormatTraceparent(traceID, telemetry.NewSpanID()))
+	traceID, callerSpan := telemetry.NewTraceID(), telemetry.NewSpanID()
+	ctx := api.WithTraceparent(context.Background(), telemetry.FormatTraceparent(traceID, callerSpan))
 	j, err := cl.Run(ctx, fastRun)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if j.TraceID != traceID {
 		t.Fatalf("server minted %q instead of joining inbound trace %q", j.TraceID, traceID)
+	}
+	if j.Trace == nil || j.Trace.TraceID != traceID {
+		t.Fatalf("joined request's view trace = %+v, want spans under %s", j.Trace, traceID)
+	}
+	rooted := false
+	for _, sp := range j.Trace.Spans {
+		rooted = rooted || (sp.Name == "ingress" && sp.ParentID == callerSpan)
+	}
+	if names := spanNames(j.Trace); !rooted || !names["resolve"] {
+		t.Fatalf("joined trace lacks an ingress under the caller's span %s or a resolve span: %+v", callerSpan, j.Trace.Spans)
+	}
+}
+
+// TestPlainHitContract: a cache hit for a caller that sent no traceparent
+// answers with one line of JSON that names the trace in trace_id and
+// X-Trace-Id but does not embed it; such a caller reads /trace.
+func TestPlainHitContract(t *testing.T) {
+	_, ts, _ := newTestServer(t, Config{})
+	body, err := json.Marshal(fastRun)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp *http.Response
+	var blob []byte
+	for i := 0; i < 2; i++ { // the second request is the hit
+		resp, err = ts.Client().Post(ts.URL+"/v1/run", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("run %d: status %d, err %v", i, resp.StatusCode, err)
+		}
+	}
+	if n := bytes.Count(blob, []byte("\n")); n != 1 || !bytes.HasSuffix(blob, []byte("\n")) {
+		t.Fatalf("hit body has %d newlines, want one line of JSON:\n%s", n, blob)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fields["trace"]; ok {
+		t.Fatalf("plain request's view embeds its trace: %s", blob)
+	}
+	var view api.JobView
+	if err := json.Unmarshal(blob, &view); err != nil {
+		t.Fatal(err)
+	}
+	hdr := resp.Header.Get(api.HeaderTraceID)
+	if view.Cache != string(simcache.Hit) || len(hdr) != 32 || view.TraceID != hdr {
+		t.Fatalf("hit view cache=%q trace_id=%q, X-Trace-Id %q", view.Cache, view.TraceID, hdr)
+	}
+}
+
+// TestNilLoggerOff: a server built without a logger has logging off at
+// every level, so no log line is built.
+func TestNilLoggerOff(t *testing.T) {
+	s, _, _ := newTestServer(t, Config{})
+	for _, lvl := range []slog.Level{math.MinInt, slog.LevelDebug, slog.LevelInfo, slog.LevelWarn, slog.LevelError, math.MaxInt} {
+		if s.log.Enabled(context.Background(), lvl) {
+			t.Errorf("nil Config.Logger is enabled at level %v", lvl)
+		}
 	}
 }
 
@@ -303,16 +383,21 @@ func TestClusterTraceSpansBothNodes(t *testing.T) {
 	if j.Cache != api.CacheProxied {
 		t.Fatalf("cache = %q, want proxied", j.Cache)
 	}
-	if len(j.TraceID) != 32 || j.Trace == nil {
-		t.Fatalf("proxied job trace missing: id=%q", j.TraceID)
+	if len(j.TraceID) != 32 || j.Trace != nil {
+		t.Fatalf("proxied job for a plain client: trace id=%q, embedded trace %v (want an ID, no spans)", j.TraceID, j.Trace != nil)
 	}
 
-	nodesSeen := spanNodes(j.Trace)
+	// The entry node's /trace holds the merged, fleet-wide timeline.
+	tv := jobTrace(t, entry.cl, j.ID)
+	if tv.TraceID != j.TraceID {
+		t.Fatalf("entry exports trace %q, job view names %q", tv.TraceID, j.TraceID)
+	}
+	nodesSeen := spanNodes(tv)
 	if len(nodesSeen) < 2 {
-		t.Fatalf("trace spans %v nodes, want both (spans: %v)", nodesSeen, spanNames(j.Trace))
+		t.Fatalf("trace spans %v nodes, want both (spans: %v)", nodesSeen, spanNames(tv))
 	}
 	byNode := make(map[string]map[string]bool)
-	for _, sp := range j.Trace.Spans {
+	for _, sp := range tv.Spans {
 		if byNode[sp.Node] == nil {
 			byNode[sp.Node] = make(map[string]bool)
 		}
@@ -329,7 +414,8 @@ func TestClusterTraceSpansBothNodes(t *testing.T) {
 		}
 	}
 
-	// The owner's own job record joined the same trace.
+	// The owner's own job record joined the same trace, so its view
+	// embeds the spans the entry node merged.
 	peerJobs, err := owner.cl.Jobs(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -338,6 +424,9 @@ func TestClusterTraceSpansBothNodes(t *testing.T) {
 	for _, pj := range peerJobs {
 		if pj.TraceID == j.TraceID {
 			found = true
+			if pj.Trace == nil || pj.Trace.TraceID != j.TraceID {
+				t.Errorf("owner's joined job %s does not embed the trace: %+v", pj.ID, pj.Trace)
+			}
 		}
 	}
 	if !found {
@@ -400,43 +489,76 @@ func TestClusterStatusPolledLoad(t *testing.T) {
 
 // TestTelemetryOverhead guards the tracing budget: cache-hit request
 // latency (p99) and serving throughput with tracing on must stay within
-// 5% (plus a small absolute slack for timer noise) of tracing off.
+// 5% (plus a small absolute slack for timer noise) of tracing off. Both
+// servers are built and warmed up front and measured in interleaved
+// rounds that alternate which side goes first, so a slow stretch of the
+// machine lands on both sides of a pair.
 func TestTelemetryOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overhead guard skipped in -short")
 	}
-	measure := func(disable bool) (p99 time.Duration, total time.Duration) {
+	type side struct {
+		cl        *api.Client
+		p99, wall []time.Duration // one per round
+	}
+	newSide := func(disable bool) *side {
 		_, _, cl := newTestServer(t, Config{DisableTracing: disable})
 		if _, err := cl.Run(context.Background(), fastRun); err != nil {
 			t.Fatal(err)
 		}
-		const reqs = 300
-		best := time.Duration(1<<63 - 1)
-		var bestLat []time.Duration
-		for round := 0; round < 3; round++ {
-			lats := make([]time.Duration, 0, reqs)
-			start := time.Now()
-			for i := 0; i < reqs; i++ {
-				r0 := time.Now()
-				j, err := cl.Run(context.Background(), fastRun)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if j.Cache != string(simcache.Hit) {
-					t.Fatalf("expected cache hit, got %q", j.Cache)
-				}
-				lats = append(lats, time.Since(r0))
+		return &side{cl: cl}
+	}
+	traced, plain := newSide(false), newSide(true)
+	const reqs, rounds = 300, 4
+	measure := func(sd *side) {
+		lats := make([]time.Duration, 0, reqs)
+		start := time.Now()
+		for i := 0; i < reqs; i++ {
+			r0 := time.Now()
+			j, err := sd.cl.Run(context.Background(), fastRun)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if wall := time.Since(start); wall < best {
-				best, bestLat = wall, lats
+			if j.Cache != string(simcache.Hit) {
+				t.Fatalf("expected cache hit, got %q", j.Cache)
 			}
+			lats = append(lats, time.Since(r0))
 		}
-		sort.Slice(bestLat, func(i, k int) bool { return bestLat[i] < bestLat[k] })
-		return bestLat[len(bestLat)*99/100], best
+		sd.wall = append(sd.wall, time.Since(start))
+		sort.Slice(lats, func(i, k int) bool { return lats[i] < lats[k] })
+		sd.p99 = append(sd.p99, lats[len(lats)*99/100])
+	}
+	for round := 0; round < rounds; round++ {
+		if round%2 == 0 {
+			measure(traced)
+			measure(plain)
+		} else {
+			measure(plain)
+			measure(traced)
+		}
 	}
 
-	tracedP99, tracedWall := measure(false)
-	plainP99, plainWall := measure(true)
+	// Paired ratios, traced over untraced within each round.
+	p99Ratio, wallRatio := make([]float64, rounds), make([]float64, rounds)
+	for i := range p99Ratio {
+		p99Ratio[i] = float64(traced.p99[i]) / float64(plain.p99[i])
+		wallRatio[i] = float64(traced.wall[i]) / float64(plain.wall[i])
+	}
+	t.Logf("paired traced/untraced ratios over %d rounds of %d hits: p99 median %.2f (%.2f), wall median %.2f (%.2f)",
+		rounds, reqs, medianOf(p99Ratio), p99Ratio, medianOf(wallRatio), wallRatio)
+
+	// The budget compares each side's fastest round.
+	best := func(sd *side) (p99, wall time.Duration) {
+		b := 0
+		for i := range sd.wall {
+			if sd.wall[i] < sd.wall[b] {
+				b = i
+			}
+		}
+		return sd.p99[b], sd.wall[b]
+	}
+	tracedP99, tracedWall := best(traced)
+	plainP99, plainWall := best(plain)
 	t.Logf("cache-hit p99 traced %v vs plain %v; wall traced %v vs plain %v",
 		tracedP99, plainP99, tracedWall, plainWall)
 	if raceEnabled {
@@ -444,12 +566,24 @@ func TestTelemetryOverhead(t *testing.T) {
 	}
 
 	// 5% relative budget plus absolute slack: HTTP round-trip p99 on a
-	// shared CI machine jitters far more than the few span appends under
-	// test, so the absolute term keeps the guard meaningful but stable.
+	// shared CI machine jitters far more than the span appends under
+	// test, so the absolute term keeps the guard stable.
 	if limit := plainP99*105/100 + 2*time.Millisecond; tracedP99 > limit {
 		t.Errorf("cache-hit p99 with tracing %v exceeds budget %v (untraced %v)", tracedP99, limit, plainP99)
 	}
 	if limit := plainWall*105/100 + 50*time.Millisecond; tracedWall > limit {
 		t.Errorf("throughput wall with tracing %v exceeds budget %v (untraced %v)", tracedWall, limit, plainWall)
 	}
+}
+
+// medianOf returns the median of xs (the mean of the middle two for an
+// even count).
+func medianOf(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }

@@ -139,6 +139,12 @@ func (t *Trace) RootID() string {
 	return t.rootID
 }
 
+// Joined reports whether this node joined an inbound trace (New was given
+// the caller's trace and span IDs) rather than originating one.
+func (t *Trace) Joined() bool {
+	return t != nil && t.parent != ""
+}
+
 // Node returns the node label this trace stamps onto its spans.
 func (t *Trace) Node() string {
 	if t == nil {

@@ -311,11 +311,15 @@ type JobView struct {
 	Tables []Table     `json:"tables,omitempty"` // experiment jobs
 	Error  string      `json:"error,omitempty"`
 
-	// TraceID is the request's distributed trace identifier; Trace is the
-	// span timeline recorded so far (this node's stages, plus the owning
-	// peer's merged in for proxied runs). Both are absent when the server
-	// runs with tracing disabled. GET /v1/jobs/{id}/trace exports the
-	// same timeline as JSONL or Chrome trace-event JSON.
+	// TraceID is the request's distributed trace identifier (also sent as
+	// the X-Trace-Id response header). Trace is the span timeline recorded
+	// so far (this node's stages, plus the owning peer's merged in for
+	// proxied runs); it is embedded only when the request joined an
+	// inbound trace through a valid traceparent header, as every proxy
+	// hop does, so that caller can merge the spans into its own trace.
+	// Both are absent when the server runs with tracing disabled. Any
+	// client reads the timeline from GET /v1/jobs/{id}/trace, as JSONL or
+	// Chrome trace-event JSON.
 	TraceID string     `json:"trace_id,omitempty"`
 	Trace   *TraceView `json:"trace,omitempty"`
 }
