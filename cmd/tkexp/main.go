@@ -83,8 +83,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if eng == sim.EngineFast && (*smp || *smpCI > 0 || *evOut != "") {
-		fmt.Fprintf(os.Stderr, "tkexp: engine %q cannot run with -sample or -events-out (use auto or reference)\n", eng)
+	if eng == sim.EngineFast && *evOut != "" {
+		fmt.Fprintf(os.Stderr, "tkexp: engine %q cannot run with -events-out (use auto or reference)\n", eng)
 		os.Exit(2)
 	}
 	runner.Engine = eng

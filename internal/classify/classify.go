@@ -32,6 +32,9 @@ const (
 	Unclassified
 )
 
+// NumKinds is the number of MissKind values, for arrays indexed by kind.
+const NumKinds = int(Unclassified) + 1
+
 // String returns the kind's name.
 func (k MissKind) String() string {
 	switch k {

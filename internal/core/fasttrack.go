@@ -28,9 +28,10 @@ type FastTracker struct {
 	hist blockHistTable
 
 	// By-kind histograms lifted out of Metrics' maps: Observe indexes by
-	// MissKind instead of hashing it. Rebuilt whenever m is replaced.
-	reloadBy [4]*stats.Hist
-	deadBy   [4]*stats.Hist
+	// MissKind instead of hashing it, and a nil entry stands for a kind the
+	// map lacks. Rebuilt whenever m is replaced.
+	reloadBy [classify.NumKinds]*stats.Hist
+	deadBy   [classify.NumKinds]*stats.Hist
 
 	quiet bool
 }
@@ -63,8 +64,8 @@ func NewFastTracker(frames int) *FastTracker {
 
 // bindMetrics refreshes the by-kind histogram arrays from t.m.
 func (t *FastTracker) bindMetrics() {
-	t.reloadBy = [4]*stats.Hist{}
-	t.deadBy = [4]*stats.Hist{}
+	t.reloadBy = [classify.NumKinds]*stats.Hist{}
+	t.deadBy = [classify.NumKinds]*stats.Hist{}
 	for k, h := range t.m.ReloadByKind {
 		t.reloadBy[k] = h
 	}
@@ -78,15 +79,12 @@ func (t *FastTracker) bindMetrics() {
 // duplicate, so the clone and the original diverge freely afterwards.
 func (t *FastTracker) Clone() *FastTracker {
 	d := &FastTracker{
-		m:    NewMetrics(),
-		gens: append([]fastGen(nil), t.gens...),
-		hist: blockHistTable{
-			slots: append([]bhSlot(nil), t.hist.slots...),
-			mask:  t.hist.mask,
-			n:     t.hist.n,
-		},
+		m:     NewMetrics(),
+		gens:  append([]fastGen(nil), t.gens...),
+		hist:  t.hist,
 		quiet: t.quiet,
 	}
+	d.hist.slots = append([]bhSlot(nil), t.hist.slots...)
 	d.m.Merge(t.m)
 	d.bindMetrics()
 	return d
@@ -146,11 +144,11 @@ func (t *FastTracker) Observe(frame int, now, block uint64, hit bool, missKind c
 				h.Add(reload)
 			}
 		}
-		if bh.flags&bhHasGen != 0 && (missKind == classify.Conflict || missKind == classify.Capacity) {
+		if bh.live != liveNone && (missKind == classify.Conflict || missKind == classify.Capacity) {
 			if h := t.deadBy[missKind]; h != nil {
 				h.Add(bh.prevDead)
 			}
-			prevZero := bh.flags&bhPrevZero != 0
+			prevZero := bh.live == liveNoHits
 			t.m.ZeroLive.Record(prevZero, prevZero && missKind == classify.Conflict)
 		}
 	}
@@ -200,17 +198,19 @@ func (t *FastTracker) endGeneration(g *fastGen, now uint64) {
 	// The block's slot was cached at install time; a table grow since
 	// then relocated it (the slot no longer holds this block), in which
 	// case fall back to a fresh probe. The table stores each block at
-	// most once, so a matching occupied slot is authoritative.
+	// most once, so a slot holding a nonzero block is authoritative;
+	// block 0 lives out of band and always takes the probe.
 	bh := &t.hist.slots[g.hSlot]
-	if bh.flags&bhOccupied == 0 || bh.block != g.block {
+	if g.block == 0 || bh.block != g.block {
 		bh, _ = t.hist.get(g.block)
 	}
 	if !t.quiet {
 		qlt := liveTime &^ (LiveTimeResolution - 1)
-		if bh.flags&bhHasLive != 0 {
-			t.m.LiveDiff.Add(liveTime, bh.prevLive)
-			t.m.LiveRatio.Add(qlt, bh.prevLive&^(LiveTimeResolution-1))
-			predictAt := LiveTimeScale * bh.prevLive
+		if bh.live != liveNone {
+			prevLive := bh.prevLive()
+			t.m.LiveDiff.Add(liveTime, prevLive)
+			t.m.LiveRatio.Add(qlt, prevLive&^(LiveTimeResolution-1))
+			predictAt := LiveTimeScale * prevLive
 			made := genTime > predictAt
 			correct := made && liveTime <= predictAt
 			t.m.LivePred.Record(made, correct)
@@ -218,44 +218,54 @@ func (t *FastTracker) endGeneration(g *fastGen, now uint64) {
 			t.m.LivePred.Events++
 		}
 	}
-	bh.prevLive = liveTime
 	bh.prevDead = deadTime
-	flags := bh.flags | bhHasLive | bhHasGen
 	if hits == 0 {
-		flags |= bhPrevZero
+		bh.live = liveNoHits
 	} else {
-		flags &^= bhPrevZero
+		bh.live = liveTime + liveBias
 	}
-	bh.flags = flags
 }
 
-// Block-history flag bits.
+// Encodings of bhSlot.live.
 const (
-	bhPrevZero = 1 << 0 // previous generation had zero live time
-	bhHasGen   = 1 << 1 // a completed generation exists
-	bhHasLive  = 1 << 2 // prevLive is valid
-	bhOccupied = 1 << 7 // slot holds a block (table occupancy, not history)
+	liveNone   = 0 // no completed generation yet
+	liveNoHits = 1 // the previous generation was never hit
+	liveBias   = 2 // live = previous live time + liveBias otherwise
 )
 
 // bhSlot is one block's history, stored inline in the table so a probe
-// and the subsequent field accesses share a cache line.
+// and the subsequent field accesses share a cache line: four words, two
+// slots per 64-byte line.
 type bhSlot struct {
-	block     uint64
+	block     uint64 // 0 marks an empty slot
 	lastStart uint64
-	prevLive  uint64
-	prevDead  uint64
-	flags     uint8
+	// live folds the reference Tracker's hasGen, hasLive and prevZero
+	// flags into the previous live time (see liveNone..liveBias): the two
+	// has-flags are always set together, and a generation that was never
+	// hit has zero live time.
+	live     uint64
+	prevDead uint64
+}
+
+// prevLive decodes the previous generation's live time; it is meaningful
+// only when live != liveNone.
+func (s *bhSlot) prevLive() uint64 {
+	if s.live < liveBias {
+		return 0
+	}
+	return s.live - liveBias
 }
 
 // blockHistTable is an insert-only open-addressed hash table from block
 // address to history slot. Deletion never happens (the reference
-// Tracker's map also only grows), so probing is plain linear scan;
-// occupancy is a flag bit in the slot itself. The table doubles at 3/4
-// load.
+// Tracker's map also only grows), so probing is plain linear scan. A
+// zero key marks an empty slot, so block 0 — a valid address — keeps its
+// history out of band in zero. The table doubles at 3/4 load.
 type blockHistTable struct {
 	slots []bhSlot
 	mask  uint64
 	n     int
+	zero  bhSlot
 }
 
 func (h *blockHistTable) init(capacity int) {
@@ -289,7 +299,7 @@ func (t *FastTracker) Touch(block uint64) uint64 {
 // HistFootprint returns the block-history table's size in bytes, used by
 // the engine to decide whether prefetch-touching its lines is worthwhile.
 func (t *FastTracker) HistFootprint() int {
-	const slotBytes = 40 // bhSlot: four uint64 + flags, 8-aligned
+	const slotBytes = 32 // bhSlot: four uint64
 	return len(t.hist.slots) * slotBytes
 }
 
@@ -297,14 +307,16 @@ func (t *FastTracker) HistFootprint() int {
 // if absent. The pointer and index are valid until the next get (which
 // may grow the table).
 func (h *blockHistTable) get(block uint64) (*bhSlot, uint32) {
+	if block == 0 {
+		return &h.zero, 0
+	}
 	if h.n >= len(h.slots)-len(h.slots)/4 {
 		h.grow()
 	}
 	i := hashBlock(block) & h.mask
 	for {
 		s := &h.slots[i]
-		if s.flags&bhOccupied == 0 {
-			s.flags = bhOccupied
+		if s.block == 0 {
 			s.block = block
 			h.n++
 			return s, uint32(i)
@@ -320,11 +332,11 @@ func (h *blockHistTable) grow() {
 	old := h.slots
 	h.init(len(old) * 2)
 	for i := range old {
-		if old[i].flags&bhOccupied == 0 {
+		if old[i].block == 0 {
 			continue
 		}
 		j := hashBlock(old[i].block) & h.mask
-		for h.slots[j].flags&bhOccupied != 0 {
+		for h.slots[j].block != 0 {
 			j = (j + 1) & h.mask
 		}
 		h.slots[j] = old[i]

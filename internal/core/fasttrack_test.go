@@ -20,7 +20,7 @@ func TestFastTrackerMatchesTracker(t *testing.T) {
 	fast := NewFastTracker(frames)
 
 	now := uint64(0)
-	kinds := []classify.MissKind{classify.Cold, classify.Conflict, classify.Capacity}
+	kinds := []classify.MissKind{classify.Cold, classify.Conflict, classify.Capacity, classify.Unclassified}
 	for i := 0; i < 200000; i++ {
 		now += uint64(rng.Intn(200))
 		frame := rng.Intn(frames)

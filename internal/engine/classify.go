@@ -67,6 +67,19 @@ func newSoaClassifier(blocks int) *soaClassifier {
 	return c
 }
 
+// clone returns an independent copy: the seen set and the shadow cache's
+// exact LRU order duplicate, like classify.Classifier.Clone.
+func (c *soaClassifier) clone() *soaClassifier {
+	d := *c
+	d.nBlock = append([]uint64(nil), c.nBlock...)
+	d.nPrev = append([]int32(nil), c.nPrev...)
+	d.nNext = append([]int32(nil), c.nNext...)
+	d.free = append([]int32(nil), c.free...)
+	d.mEnt = append([]mapEnt(nil), c.mEnt...)
+	d.seen.keys = append([]uint64(nil), c.seen.keys...)
+	return &d
+}
+
 // access transcribes classify.Classifier.Access.
 func (c *soaClassifier) access(block uint64) classify.MissKind {
 	if n := c.find(block); n != nilNode {
@@ -82,8 +95,8 @@ func (c *soaClassifier) access(block uint64) classify.MissKind {
 	return kind
 }
 
-// warm transcribes classify.Classifier.Warm (functional-warming cold
-// check; unused by the detailed engine loop but kept for parity tests).
+// warm transcribes classify.Classifier.Warm: the functional-warming cold
+// check, which marks the block seen without touching the shadow cache.
 func (c *soaClassifier) warm(block uint64) (cold bool) {
 	if c.seen.has(block) {
 		return false

@@ -24,9 +24,13 @@
 // What does NOT change: the transition function. Every stats counter,
 // timing decision and replacement choice is an exact transcription of
 // the reference path, proven byte-identical over the golden corpus by
-// sim's differential engine gate. Audit mode, event capture, sampling
-// and custom hooks are deliberately unsupported — sim selects the
-// reference loop for those runs.
+// sim's differential engine gate. That includes the functional-warming
+// step sampled runs alternate with detailed windows (RunFunctional, the
+// transcription of cpu.Model.RunFunctional over hier.AccessFunctional)
+// and the state copy segment-parallel sampling forks instances with
+// (Clone), so exact and sampled runs both take this engine. Audit mode,
+// event capture and custom hooks are deliberately unsupported — sim
+// selects the reference loop for those runs.
 package engine
 
 import (
@@ -101,8 +105,9 @@ type pendingFill struct {
 }
 
 // Engine is one run's complete simulation state. Construct with New,
-// attach mechanisms, then drive warm-up and measurement with Run exactly
-// as sim does for the reference path.
+// attach mechanisms, then drive warm-up and measurement with Run (and,
+// for sampled runs, RunFunctional) exactly as sim does for the reference
+// path.
 type Engine struct {
 	cfg Config
 
@@ -220,6 +225,38 @@ func New(cfg Config) *Engine {
 	return e
 }
 
+// Clone returns an independent copy of the engine's owned state, mirroring
+// hier.Hierarchy.Clone plus cpu.Model.Clone: core timing and the
+// retirement ring, cache contents, bus occupancy, memory, MSHRs, the
+// classifier, per-frame counters, in-flight prefetch fills and window
+// stats all duplicate, so the clone and the original diverge freely.
+//
+// Attachments are deliberately dropped, as hier's Clone drops them: the
+// clone starts with no victim cache, tracker, decay evaluation or
+// prefetcher, and callers attach fresh instances (or clones) of their
+// own. The progress handle is shared — obs.Progress is atomic.
+func (e *Engine) Clone() *Engine {
+	d := *e
+	d.ring = append([]retireRec(nil), e.ring...)
+	d.l1 = e.l1.clone()
+	d.l2 = e.l2.clone()
+	d.busL2 = e.busL2.Clone()
+	d.busMem = e.busMem.Clone()
+	d.mem = e.mem.Clone()
+	d.demandMSHR = e.demandMSHR.clone()
+	if e.prefetchMSHR != nil {
+		d.prefetchMSHR = e.prefetchMSHR.clone()
+	}
+	d.classifier = e.classifier.clone()
+	d.fctr = append([]frameCtr(nil), e.fctr...)
+	d.pending = append([]pendingFill(nil), e.pending...)
+	d.pfIssuedN, d.pfUsefulN = 0, 0
+	d.victim, d.tracker, d.dec = nil, nil, nil
+	d.pf, d.tk, d.dbcp, d.nl = pfNone, nil, nil, nil
+	d.needEvent = false
+	return &d
+}
+
 // L1 returns the engine's L1 as the read-only view prefetchers consume.
 func (e *Engine) L1() prefetch.L1View { return e.l1 }
 
@@ -304,6 +341,28 @@ func (e *Engine) flushCounters() {
 // mirroring cpu.Model.RunContext: cancellation and progress land on the
 // same reference counts, and the returned snapshot is cumulative.
 func (e *Engine) Run(ctx context.Context, s trace.Stream, maxRefs uint64) (cpu.Result, error) {
+	return e.run(ctx, s, maxRefs, 0)
+}
+
+// RunFunctional drives up to maxRefs references through the functional-
+// warming path at a nominal rate of cpi cycles per instruction (0 = 1.0),
+// mirroring cpu.Model.RunFunctional over a hier.Hierarchy: the same
+// clock advance, the same contents-only accesses, the same cadence.
+func (e *Engine) RunFunctional(ctx context.Context, s trace.Stream, maxRefs uint64, cpi float64) (cpu.Result, error) {
+	if cpi <= 0 {
+		cpi = 1
+	}
+	subPerInst := uint64(cpi*float64(e.sub) + 0.5)
+	if subPerInst == 0 {
+		subPerInst = 1
+	}
+	return e.run(ctx, s, maxRefs, subPerInst)
+}
+
+// run is the batch loop behind Run and RunFunctional: subPerInst == 0
+// steps references through the detailed model, otherwise through
+// functional warming at that many subcycles per instruction.
+func (e *Engine) run(ctx context.Context, s trace.Stream, maxRefs, subPerInst uint64) (cpu.Result, error) {
 	var done, reported uint64
 	defer func() {
 		e.prog.Add(done - reported)
@@ -343,7 +402,11 @@ func (e *Engine) Run(ctx context.Context, s trace.Stream, maxRefs uint64) (cpu.R
 			}
 			for i := 0; i < n; i++ {
 				r := &e.lookahead[i]
-				e.step(r)
+				if subPerInst == 0 {
+					e.step(r)
+				} else {
+					e.stepFunctional(r, subPerInst)
+				}
 				done++
 				e.refs++
 				switch r.Kind {
@@ -471,6 +534,20 @@ func (e *Engine) step(r *trace.Ref) {
 	e.record(e.idx, retire)
 }
 
+// stepFunctional transcribes cpu.Model.StepFunctional: the OoO window and
+// latency machinery are bypassed, the clock advances at the nominal rate,
+// and the retirement ring is still maintained so a later step's window
+// constraint stays consistent.
+func (e *Engine) stepFunctional(r *trace.Ref, subPerInst uint64) {
+	gap := uint64(r.Gap)
+	e.idx += gap + 1
+	adv := (gap + 1) * subPerInst
+	e.fetchSub += adv
+	e.retireSub += adv
+	e.accessFunctional(r, e.retireSub/e.sub)
+	e.record(e.idx, e.retireSub)
+}
+
 // access transcribes hier.Hierarchy.Access for the unaudited, untraced
 // case the engine supports.
 func (e *Engine) access(r *trace.Ref, now uint64) (doneAt uint64) {
@@ -532,7 +609,9 @@ func (e *Engine) access(r *trace.Ref, now uint64) (doneAt uint64) {
 		evp.Done = doneAt
 	}
 
-	// Per-frame counter hardware update.
+	// Per-frame counter hardware update, then the observers: observe's
+	// body, kept inline because an out-of-line call here costs the exact
+	// sweep about 2.5% of its wall time.
 	fc := &e.fctr[frame]
 	if hit {
 		fc.hits++
@@ -550,9 +629,6 @@ func (e *Engine) access(r *trace.Ref, now uint64) (doneAt uint64) {
 		fc.prefetched = false
 		fc.lastAccess = now
 	}
-
-	// Observers in reference attachment order: tracker, decay, then the
-	// prefetcher — all as direct concrete calls.
 	if e.tracker != nil {
 		e.tracker.Observe(frame, now, block, hit, missKind, victimValid)
 	}
@@ -573,6 +649,167 @@ func (e *Engine) access(r *trace.Ref, now uint64) (doneAt uint64) {
 	return doneAt
 }
 
+// observe is the tail of an access, as access inlines it: the per-frame
+// counter hardware update, then the observers in reference attachment
+// order — tracker, decay, then the prefetcher — all as direct concrete
+// calls.
+func (e *Engine) observe(frame int, now, block uint64, hit bool, missKind classify.MissKind, victimValid bool, evp *hier.AccessEvent) {
+	fc := &e.fctr[frame]
+	if hit {
+		fc.hits++
+		if fc.prefetched {
+			fc.prefetched = false
+			e.stats.PFUseful++
+			e.pfUsefulN++
+		}
+		if now > fc.lastAccess {
+			fc.lastAccess = now
+		}
+	} else {
+		fc.loadedAt = now
+		fc.hits = 0
+		fc.prefetched = false
+		fc.lastAccess = now
+	}
+
+	if e.tracker != nil {
+		e.tracker.Observe(frame, now, block, hit, missKind, victimValid)
+	}
+	if e.dec != nil {
+		e.dec.OnAccess(evp)
+	}
+	if e.pf != pfNone {
+		switch e.pf {
+		case pfTK:
+			e.tk.OnAccess(evp)
+		case pfDBCP:
+			e.dbcp.OnAccess(evp)
+		case pfNL:
+			e.nl.OnAccess(evp)
+		}
+		e.issuePrefetches(now)
+	}
+}
+
+// accessFunctional transcribes hier.Hierarchy.AccessFunctional: contents,
+// per-frame counters, observers and prefetch issue update exactly as on
+// the detailed path, but there is no MSHR merging and misses complete
+// instantly (Done == Now).
+func (e *Engine) accessFunctional(r *trace.Ref, now uint64) {
+	if now > e.maxNow {
+		e.maxNow = now
+	}
+	if len(e.pending) > 0 {
+		e.applyPendingFills(e.maxNow)
+	}
+
+	block := e.l1.blockAddr(r.Addr)
+	write := r.Kind == trace.Store
+	e.stats.Accesses++
+
+	hit, frame, resVictim := e.l1.access(r.Addr, write)
+
+	var ev hier.AccessEvent
+	evp := (*hier.AccessEvent)(nil)
+	if e.needEvent {
+		ev = hier.AccessEvent{
+			Now:   now,
+			Done:  now,
+			Addr:  r.Addr,
+			Block: block,
+			PC:    r.PC,
+			Frame: frame,
+			Write: write,
+			SW:    r.Kind == trace.SWPrefetch,
+			Hit:   hit,
+		}
+		evp = &ev
+	}
+
+	var missKind classify.MissKind
+	victimValid := false
+	if hit {
+		e.stats.Hits++
+	} else {
+		missKind = e.missFunctional(block, write, now, frame, resVictim, evp)
+		victimValid = resVictim.Valid
+	}
+	e.observe(frame, now, block, hit, missKind, victimValid, evp)
+}
+
+// missFunctional transcribes hier.Hierarchy.missFunctional: eviction and
+// victim-cache interposition as in miss, cold-only classification (the
+// shadow cache's LRU order is not maintained, so a non-cold miss is
+// Unclassified), and a straight L2 array access with no MSHR, bus or
+// memory timing. It returns the miss kind.
+func (e *Engine) missFunctional(block uint64, write bool, now uint64, frame int, resVictim cache.Victim, evp *hier.AccessEvent) classify.MissKind {
+	e.stats.Misses++
+	kind := classify.Unclassified
+	if e.classifier.warm(block) {
+		kind = classify.Cold
+		e.stats.ColdMisses++
+	}
+	if evp != nil {
+		evp.MissKind = kind
+	}
+
+	if resVictim.Valid {
+		e.evict(block, now, frame, resVictim, evp)
+		if resVictim.Dirty {
+			e.stats.Writebacks++
+		}
+	}
+
+	if e.victim != nil && e.victim.Lookup(block, now) {
+		if evp != nil {
+			evp.VictimHit = true
+		}
+		e.stats.VictimHits++
+		return kind
+	}
+
+	if e.cfg.Hier.PerfectL1 && kind != classify.Cold {
+		return kind
+	}
+
+	l2hit, _, l2victim := e.l2.access(block, write)
+	if l2hit {
+		e.stats.L2Hits++
+	} else {
+		e.stats.L2Misses++
+		if l2victim.Valid && l2victim.Dirty {
+			e.stats.L2Writebacks++
+		}
+	}
+	return kind
+}
+
+// evict reports a demand miss's displaced L1 block: it goes on the access
+// event and, with the frame's dead time, to the victim cache.
+func (e *Engine) evict(block, now uint64, frame int, resVictim cache.Victim, evp *hier.AccessEvent) {
+	fc := &e.fctr[frame]
+	var dead uint64
+	if now > fc.lastAccess {
+		dead = now - fc.lastAccess
+	}
+	if fc.lastAccess == 0 && fc.loadedAt == 0 {
+		dead = 0 // frame never used before
+	}
+	if evp != nil {
+		evp.Victim = resVictim
+	}
+	if e.victim != nil {
+		e.victim.Offer(hier.Eviction{
+			Now:      now,
+			Victim:   resVictim,
+			Frame:    frame,
+			Incoming: block,
+			DeadTime: dead,
+			ZeroLive: fc.hits == 0,
+		})
+	}
+}
+
 // miss transcribes hier.Hierarchy.miss.
 func (e *Engine) miss(block uint64, kind classify.MissKind, write bool, now uint64, frame int, resVictim cache.Victim, evp *hier.AccessEvent) uint64 {
 	e.stats.Misses++
@@ -589,27 +826,7 @@ func (e *Engine) miss(block uint64, kind classify.MissKind, write bool, now uint
 	}
 
 	if resVictim.Valid {
-		fc := &e.fctr[frame]
-		var dead uint64
-		if now > fc.lastAccess {
-			dead = now - fc.lastAccess
-		}
-		if fc.lastAccess == 0 && fc.loadedAt == 0 {
-			dead = 0 // frame never used before
-		}
-		if evp != nil {
-			evp.Victim = resVictim
-		}
-		if e.victim != nil {
-			e.victim.Offer(hier.Eviction{
-				Now:      now,
-				Victim:   resVictim,
-				Frame:    frame,
-				Incoming: block,
-				DeadTime: dead,
-				ZeroLive: fc.hits == 0,
-			})
-		}
+		e.evict(block, now, frame, resVictim, evp)
 		if resVictim.Dirty {
 			e.stats.Writebacks++
 			e.busL2.Demand(now, e.cfg.Hier.L1.BlockBytes)

@@ -23,12 +23,57 @@ type Warmable interface {
 	SetRecording(on bool)
 }
 
+// Machine is the assembled simulation a schedule drives: a core bound to
+// its memory hierarchy, stepping references through either the detailed
+// timing model or functional warming. The batched engine
+// (*engine.Engine) implements it; Reference adapts the reference
+// cpu.Model + hier.Hierarchy pair.
+type Machine interface {
+	// Run steps up to n references through the detailed model and
+	// returns the cumulative snapshot.
+	Run(ctx context.Context, s trace.Stream, n uint64) (cpu.Result, error)
+	// RunFunctional steps up to n references through functional warming,
+	// advancing the clock at cpi cycles per instruction (0 = 1.0).
+	RunFunctional(ctx context.Context, s trace.Stream, n uint64, cpi float64) (cpu.Result, error)
+	// Snapshot returns the cumulative execution summary.
+	Snapshot() cpu.Result
+	// Now returns the current retirement cycle.
+	Now() uint64
+	// Stats returns the hierarchy's window counters.
+	Stats() hier.Stats
+}
+
+// Reference adapts the reference loop — a cpu.Model driving a
+// hier.Hierarchy — to Machine.
+type Reference struct {
+	CPU  *cpu.Model
+	Hier *hier.Hierarchy
+}
+
+// Run implements Machine.
+func (r Reference) Run(ctx context.Context, s trace.Stream, n uint64) (cpu.Result, error) {
+	return r.CPU.RunContext(ctx, s, n)
+}
+
+// RunFunctional implements Machine.
+func (r Reference) RunFunctional(ctx context.Context, s trace.Stream, n uint64, cpi float64) (cpu.Result, error) {
+	return r.CPU.RunFunctional(ctx, s, n, cpi)
+}
+
+// Snapshot implements Machine.
+func (r Reference) Snapshot() cpu.Result { return r.CPU.Snapshot() }
+
+// Now implements Machine.
+func (r Reference) Now() uint64 { return r.CPU.Now() }
+
+// Stats implements Machine.
+func (r Reference) Stats() hier.Stats { return r.Hier.Stats() }
+
 // Config hands the engine an assembled simulation.
 type Config struct {
-	CPU    *cpu.Model
-	Hier   *hier.Hierarchy
-	Stream trace.Stream
-	Policy Policy
+	Machine Machine
+	Stream  trace.Stream
+	Policy  Policy
 
 	// WarmupRefs is functionally warmed before the first detailed window;
 	// MeasureRefs is the exact-run measurement budget the window schedule
@@ -75,12 +120,15 @@ type Config struct {
 }
 
 // Instance is one isolated simulation instance the segment-parallel
-// scheduler replays a segment on: a CPU bound to its own hierarchy, plus
-// the Warmables whose recording brackets that segment's windows.
+// scheduler replays a segment on: its own Machine, plus the Warmables
+// whose recording brackets that segment's windows.
 type Instance struct {
-	CPU       *cpu.Model
-	Hier      *hier.Hierarchy
+	Machine   Machine
 	Warmables []Warmable
+	// Finish, when non-nil, is called once the segment is done with the
+	// instance — after its last window or on error — so the caller can
+	// keep the segment's outputs and let the rest of the instance go.
+	Finish func()
 }
 
 // Outcome is a sampled run's aggregate: the statistical estimate plus the
@@ -113,11 +161,11 @@ func Run(ctx context.Context, cfg Config) (Outcome, error) {
 	}
 	if pol.Schedule == SchedulePhase {
 		out, err := runPhase(ctx, cfg, pol)
-		out.TotalRefs = cfg.CPU.Snapshot().Refs
+		out.TotalRefs = cfg.Machine.Snapshot().Refs
 		return out, err
 	}
 	out, err := runClassic(ctx, cfg, pol)
-	out.TotalRefs = cfg.CPU.Snapshot().Refs
+	out.TotalRefs = cfg.Machine.Snapshot().Refs
 	return out, err
 }
 
@@ -165,14 +213,14 @@ func runClassic(ctx context.Context, cfg Config, pol Policy) (Outcome, error) {
 
 	warm := func(refs uint64) (ended bool, err error) {
 		cfg.Progress.SetPhase(obs.PhaseWarmup)
-		span := cfg.Events.BeginSpan("functional-warm", cfg.CPU.Now())
-		pre := cfg.CPU.Snapshot().Refs
-		if _, err := cfg.CPU.RunFunctional(ctx, cfg.Stream, refs, pol.NominalCPI); err != nil {
-			cfg.Events.EndSpan(span, cfg.CPU.Now())
+		span := cfg.Events.BeginSpan("functional-warm", cfg.Machine.Now())
+		pre := cfg.Machine.Snapshot().Refs
+		if _, err := cfg.Machine.RunFunctional(ctx, cfg.Stream, refs, pol.NominalCPI); err != nil {
+			cfg.Events.EndSpan(span, cfg.Machine.Now())
 			return false, err
 		}
-		cfg.Events.EndSpan(span, cfg.CPU.Now())
-		done := cfg.CPU.Snapshot().Refs - pre
+		cfg.Events.EndSpan(span, cfg.Machine.Now())
+		done := cfg.Machine.Snapshot().Refs - pre
 		ctrWarmRefs.Add(done)
 		est.WarmRefs += done
 		return done < refs, nil
@@ -181,14 +229,14 @@ func runClassic(ctx context.Context, cfg Config, pol Policy) (Outcome, error) {
 	// detailed runs the detailed path unrecorded — the per-window warm
 	// prefix that refills OoO/MSHR/bus state before measurement starts.
 	detailed := func(refs uint64) (ended bool, err error) {
-		span := cfg.Events.BeginSpan("detailed-warm", cfg.CPU.Now())
-		pre := cfg.CPU.Snapshot().Refs
-		if _, err := cfg.CPU.RunContext(ctx, cfg.Stream, refs); err != nil {
-			cfg.Events.EndSpan(span, cfg.CPU.Now())
+		span := cfg.Events.BeginSpan("detailed-warm", cfg.Machine.Now())
+		pre := cfg.Machine.Snapshot().Refs
+		if _, err := cfg.Machine.Run(ctx, cfg.Stream, refs); err != nil {
+			cfg.Events.EndSpan(span, cfg.Machine.Now())
 			return false, err
 		}
-		cfg.Events.EndSpan(span, cfg.CPU.Now())
-		done := cfg.CPU.Snapshot().Refs - pre
+		cfg.Events.EndSpan(span, cfg.Machine.Now())
+		done := cfg.Machine.Snapshot().Refs - pre
 		est.DetailedRefs += done
 		ctrDetailedRefs.Add(done)
 		return done < refs, nil
@@ -210,18 +258,18 @@ func runClassic(ctx context.Context, cfg Config, pol Policy) (Outcome, error) {
 			}
 		}
 
-		preCPU := cfg.CPU.Snapshot()
-		preHier := cfg.Hier.Stats()
+		preCPU := cfg.Machine.Snapshot()
+		preHier := cfg.Machine.Stats()
 		recording(true)
-		span := cfg.Events.BeginSpan(fmt.Sprintf("window %d", w), cfg.CPU.Now())
-		post, err := cfg.CPU.RunContext(ctx, cfg.Stream, pol.DetailedRefs)
-		cfg.Events.EndSpan(span, cfg.CPU.Now())
+		span := cfg.Events.BeginSpan(fmt.Sprintf("window %d", w), cfg.Machine.Now())
+		post, err := cfg.Machine.Run(ctx, cfg.Stream, pol.DetailedRefs)
+		cfg.Events.EndSpan(span, cfg.Machine.Now())
 		recording(false)
 		if err != nil {
 			return agg, err
 		}
 		dCPU := post.Minus(preCPU)
-		dHier := cfg.Hier.Stats().Minus(preHier)
+		dHier := cfg.Machine.Stats().Minus(preHier)
 		if dCPU.Refs == 0 {
 			break // stream exhausted
 		}

@@ -31,10 +31,9 @@ func (s *strideStream) Next(r *trace.Ref) bool {
 func testRig(stream trace.Stream) Config {
 	h := hier.New(hier.DefaultConfig())
 	return Config{
-		CPU:    cpu.New(cpu.DefaultConfig(), h),
-		Hier:   h,
-		Stream: stream,
-		Policy: Policy{DetailedRefs: 256, WarmRefs: 1024, DetailedWarmRefs: 64},
+		Machine: Reference{CPU: cpu.New(cpu.DefaultConfig(), h), Hier: h},
+		Stream:  stream,
+		Policy:  Policy{DetailedRefs: 256, WarmRefs: 1024, DetailedWarmRefs: 64},
 
 		WarmupRefs:  2048,
 		MeasureRefs: 16 * (256 + 1024 + 64),

@@ -165,6 +165,10 @@ func runSegment(ctx context.Context, cfg Config, pol Policy, seg int, offset uin
 		r.err = fmt.Errorf("sample: segment %d instance: %w", seg, err)
 		return r
 	}
+	if inst.Finish != nil {
+		defer inst.Finish()
+	}
+	m := inst.Machine
 
 	recording := func(on bool) {
 		for _, w := range inst.Warmables {
@@ -173,15 +177,15 @@ func runSegment(ctx context.Context, cfg Config, pol Policy, seg int, offset uin
 	}
 	recording(false)
 	defer recording(true)
-	defer func() { r.totalRefs = inst.CPU.Snapshot().Refs }()
+	defer func() { r.totalRefs = m.Snapshot().Refs }()
 
 	warm := func(refs uint64) (ended bool, err error) {
 		cfg.Progress.SetPhase(obs.PhaseWarmup)
-		pre := inst.CPU.Snapshot().Refs
-		if _, err := inst.CPU.RunFunctional(ctx, stream, refs, pol.NominalCPI); err != nil {
+		pre := m.Snapshot().Refs
+		if _, err := m.RunFunctional(ctx, stream, refs, pol.NominalCPI); err != nil {
 			return false, err
 		}
-		done := inst.CPU.Snapshot().Refs - pre
+		done := m.Snapshot().Refs - pre
 		ctrWarmRefs.Add(done)
 		r.warmRefs += done
 		return done < refs, nil
@@ -195,12 +199,12 @@ func runSegment(ctx context.Context, cfg Config, pol Policy, seg int, offset uin
 	for j := 0; j < wk; j++ {
 		cfg.Progress.SetPhase(obs.PhaseMeasure)
 		if pol.DetailedWarmRefs > 0 {
-			pre := inst.CPU.Snapshot().Refs
-			if _, err := inst.CPU.RunContext(ctx, stream, pol.DetailedWarmRefs); err != nil {
+			pre := m.Snapshot().Refs
+			if _, err := m.Run(ctx, stream, pol.DetailedWarmRefs); err != nil {
 				r.err = err
 				return r
 			}
-			done := inst.CPU.Snapshot().Refs - pre
+			done := m.Snapshot().Refs - pre
 			r.detailedRefs += done
 			ctrDetailedRefs.Add(done)
 			if done < pol.DetailedWarmRefs {
@@ -208,17 +212,17 @@ func runSegment(ctx context.Context, cfg Config, pol Policy, seg int, offset uin
 			}
 		}
 
-		preCPU := inst.CPU.Snapshot()
-		preHier := inst.Hier.Stats()
+		preCPU := m.Snapshot()
+		preHier := m.Stats()
 		recording(true)
-		post, err := inst.CPU.RunContext(ctx, stream, pol.DetailedRefs)
+		post, err := m.Run(ctx, stream, pol.DetailedRefs)
 		recording(false)
 		if err != nil {
 			r.err = err
 			return r
 		}
 		dCPU := post.Minus(preCPU)
-		dHier := inst.Hier.Stats().Minus(preHier)
+		dHier := m.Stats().Minus(preHier)
 		if dCPU.Refs == 0 {
 			return r // stream exhausted
 		}

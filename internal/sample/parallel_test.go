@@ -24,7 +24,7 @@ func segmentedRig(blocks uint64, segWindows int) Config {
 	}
 	cfg.NewInstance = func(seg int) (Instance, error) {
 		h := hier.New(hier.DefaultConfig())
-		return Instance{CPU: cpu.New(cpu.DefaultConfig(), h), Hier: h}, nil
+		return Instance{Machine: Reference{CPU: cpu.New(cpu.DefaultConfig(), h), Hier: h}}, nil
 	}
 	return cfg
 }

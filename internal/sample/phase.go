@@ -117,27 +117,27 @@ func runPhase(ctx context.Context, cfg Config, pol Policy) (Outcome, error) {
 
 	warm := func(refs uint64) (ended bool, err error) {
 		cfg.Progress.SetPhase(obs.PhaseWarmup)
-		span := cfg.Events.BeginSpan("functional-warm", cfg.CPU.Now())
-		pre := cfg.CPU.Snapshot().Refs
-		if _, err := cfg.CPU.RunFunctional(ctx, cfg.Stream, refs, pol.NominalCPI); err != nil {
-			cfg.Events.EndSpan(span, cfg.CPU.Now())
+		span := cfg.Events.BeginSpan("functional-warm", cfg.Machine.Now())
+		pre := cfg.Machine.Snapshot().Refs
+		if _, err := cfg.Machine.RunFunctional(ctx, cfg.Stream, refs, pol.NominalCPI); err != nil {
+			cfg.Events.EndSpan(span, cfg.Machine.Now())
 			return false, err
 		}
-		cfg.Events.EndSpan(span, cfg.CPU.Now())
-		done := cfg.CPU.Snapshot().Refs - pre
+		cfg.Events.EndSpan(span, cfg.Machine.Now())
+		done := cfg.Machine.Snapshot().Refs - pre
 		ctrWarmRefs.Add(done)
 		est.WarmRefs += done
 		return done < refs, nil
 	}
 	detailed := func(refs uint64) (ended bool, err error) {
-		span := cfg.Events.BeginSpan("detailed-warm", cfg.CPU.Now())
-		pre := cfg.CPU.Snapshot().Refs
-		if _, err := cfg.CPU.RunContext(ctx, cfg.Stream, refs); err != nil {
-			cfg.Events.EndSpan(span, cfg.CPU.Now())
+		span := cfg.Events.BeginSpan("detailed-warm", cfg.Machine.Now())
+		pre := cfg.Machine.Snapshot().Refs
+		if _, err := cfg.Machine.Run(ctx, cfg.Stream, refs); err != nil {
+			cfg.Events.EndSpan(span, cfg.Machine.Now())
 			return false, err
 		}
-		cfg.Events.EndSpan(span, cfg.CPU.Now())
-		done := cfg.CPU.Snapshot().Refs - pre
+		cfg.Events.EndSpan(span, cfg.Machine.Now())
+		done := cfg.Machine.Snapshot().Refs - pre
 		est.DetailedRefs += done
 		ctrDetailedRefs.Add(done)
 		return done < refs, nil
@@ -150,11 +150,11 @@ func runPhase(ctx context.Context, cfg Config, pol Policy) (Outcome, error) {
 	}
 	// origin is the stream position interval 0 starts at; cur tracks the
 	// position within the measure span as windows consume references.
-	origin := cfg.CPU.Snapshot().Refs
+	origin := cfg.Machine.Snapshot().Refs
 
 	for _, w := range plan {
 		start := uint64(w.Interval) * ivLen
-		cur := cfg.CPU.Snapshot().Refs - origin
+		cur := cfg.Machine.Snapshot().Refs - origin
 		if gap := start - cur; gap > 0 {
 			if ended, err := warm(gap); err != nil {
 				return agg, err
@@ -171,18 +171,18 @@ func runPhase(ctx context.Context, cfg Config, pol Policy) (Outcome, error) {
 			}
 		}
 
-		preCPU := cfg.CPU.Snapshot()
-		preHier := cfg.Hier.Stats()
+		preCPU := cfg.Machine.Snapshot()
+		preHier := cfg.Machine.Stats()
 		recording(true)
-		span := cfg.Events.BeginSpan(fmt.Sprintf("phase window @ interval %d (cluster %d)", w.Interval, w.Cluster), cfg.CPU.Now())
-		post, err := cfg.CPU.RunContext(ctx, cfg.Stream, pol.DetailedRefs)
-		cfg.Events.EndSpan(span, cfg.CPU.Now())
+		span := cfg.Events.BeginSpan(fmt.Sprintf("phase window @ interval %d (cluster %d)", w.Interval, w.Cluster), cfg.Machine.Now())
+		post, err := cfg.Machine.Run(ctx, cfg.Stream, pol.DetailedRefs)
+		cfg.Events.EndSpan(span, cfg.Machine.Now())
 		recording(false)
 		if err != nil {
 			return agg, err
 		}
 		dCPU := post.Minus(preCPU)
-		dHier := cfg.Hier.Stats().Minus(preHier)
+		dHier := cfg.Machine.Stats().Minus(preHier)
 		if dCPU.Refs == 0 {
 			break // stream exhausted
 		}

@@ -105,9 +105,8 @@ func (s *phaseStream) Next(r *trace.Ref) bool {
 func phaseRig(ivLen uint64) Config {
 	h := hier.New(hier.DefaultConfig())
 	return Config{
-		CPU:    cpu.New(cpu.DefaultConfig(), h),
-		Hier:   h,
-		Stream: &phaseStream{ivLen: ivLen},
+		Machine: Reference{CPU: cpu.New(cpu.DefaultConfig(), h), Hier: h},
+		Stream:  &phaseStream{ivLen: ivLen},
 		Policy: Policy{
 			DetailedRefs: 256, WarmRefs: 1024, DetailedWarmRefs: 64,
 			Schedule: SchedulePhase, PhaseIntervals: 16,

@@ -10,8 +10,10 @@
 // variance.
 //
 // The package provides the sampling policy (the JSON-stable knob set that
-// keys result caching), the estimator arithmetic, and the engine that
-// drives an assembled cpu.Model/hier.Hierarchy pair (see Run).
+// keys result caching), the estimator arithmetic, and the schedules that
+// drive an assembled simulation through the Machine interface (see Run):
+// the batched engine (internal/engine) in the default case, or the
+// reference cpu.Model/hier.Hierarchy pair through Reference.
 package sample
 
 import (

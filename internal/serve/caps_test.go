@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"net/http"
+	"os"
 	"testing"
 
 	"timekeeping/pkg/api"
@@ -110,10 +111,30 @@ func TestRunEngineErrors(t *testing.T) {
 	// instrumentation; the request is rejected up front.
 	req = fastRun
 	req.Engine = "fast"
-	req.Sampling = &api.SamplingPolicy{DetailedRefs: 1000, WarmRefs: 1000}
+	req.Events = true
 	_, err = cl.Run(context.Background(), req)
 	ae = apiError(t, err)
 	if ae.Code != api.CodeBadRequest || ae.HTTPStatus != http.StatusBadRequest {
-		t.Fatalf("fast+sampling: got %+v", ae)
+		t.Fatalf("fast+events: got %+v", ae)
+	}
+
+	// Sampling is not such instrumentation: the fast engine runs it —
+	// unless TK_AUDIT pins every run to the reference loop, which then
+	// refuses an explicit fast engine for any run.
+	req = fastRun
+	req.Engine = "fast"
+	req.Sampling = &api.SamplingPolicy{DetailedRefs: 1000, WarmRefs: 1000}
+	j, err := cl.Run(context.Background(), req)
+	if os.Getenv("TK_AUDIT") != "" {
+		if err == nil {
+			t.Fatal("fast+sampling ran under TK_AUDIT, which pins every run to the reference loop")
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("fast+sampling: %v", err)
+	}
+	if j.Result == nil || j.Result.Engine != "fast" || j.Result.Estimate == nil {
+		t.Fatalf("fast+sampling: got %+v, want a sampled result from the fast engine", j.Result)
 	}
 }

@@ -365,8 +365,6 @@ func (s *Server) options(req api.RunRequest) (sim.Options, sim.Engine, *api.Erro
 	if eng == sim.EngineFast {
 		reason := ""
 		switch {
-		case opt.Sampling != nil:
-			reason = "statistical sampling"
 		case req.Events:
 			reason = "event capture"
 		case opt.Audit:
@@ -700,14 +698,6 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	eng, err := sim.ParseEngine(req.Engine)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, filterError(err))
-		return
-	}
-	if eng == sim.EngineFast && req.Sampling != nil {
-		writeError(w, http.StatusBadRequest, &api.Error{
-			Code: api.CodeBadRequest,
-			Message: fmt.Sprintf("engine %q cannot run with statistical sampling (use %q or %q)",
-				sim.EngineFast, sim.EngineAuto, sim.EngineReference),
-		})
 		return
 	}
 

@@ -4,15 +4,17 @@ package sim_test
 // execution engines: every benchmark in the suite runs once under the
 // reference loop and once under the batched SoA engine, with the
 // timekeeping tracker and a cache-decay evaluation attached and the
-// victim-cache / prefetcher mechanisms rotated across benchmarks, and
-// the two sim.Results must be byte-identical in canonical JSON — CPU
-// timing, hierarchy counters, predictor tallies, decay results and
-// prefetch outputs included.
+// victim-cache / prefetcher / limit-study mechanisms rotated across
+// benchmarks, and the two sim.Results must be byte-identical in
+// canonical JSON — CPU timing, hierarchy counters, predictor tallies,
+// decay results, prefetch outputs and sampled estimates included. Each
+// benchmark runs exact and under every sampling schedule: fixed-period,
+// target-CI, phase, and segmented at one and two workers.
 //
-// This gate runs at a reduced reference count to keep its 2x52-run cost
-// in check; full corpus-scale anchoring comes for free from the golden
-// regression test, whose on-disk entries were recorded under the
-// reference loop and are verified under the default (fast) engine.
+// This gate runs at a reduced reference count to keep its cost in check;
+// full corpus-scale anchoring comes for free from the golden regression
+// tests, whose on-disk entries were recorded under the reference loop and
+// are verified under the default (fast) engine.
 
 import (
 	"bytes"
@@ -20,6 +22,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"timekeeping/internal/sample"
 	"timekeeping/internal/sim"
 	"timekeeping/internal/workload"
 )
@@ -42,51 +45,89 @@ func engineGateOptions(i int) sim.Options {
 		opt.VictimFilter = sim.VictimCollins
 	}
 	// A few set-associative L1 points so the gate is not all
-	// direct-mapped.
+	// direct-mapped, and a few limit-study points.
 	if i%5 == 4 {
 		opt.Hier.L1.Ways = 2
+	}
+	if i%7 == 5 {
+		opt.Hier.PerfectL1 = true
+	}
+	return opt
+}
+
+// gateSchedules are the sampling schedules the gate runs besides the
+// exact run. The policy is scaled to the gate's 40K measured references:
+// a 2688-reference period gives 14 fixed-period windows, and 16 phase
+// intervals of 2500 references each hold a 640-reference window.
+var gateSchedules = []struct {
+	name string
+	tune func(*sample.Policy)
+}{
+	{"exact", nil},
+	{"fixed", func(*sample.Policy) {}},
+	{"target-ci", func(p *sample.Policy) { p.TargetRelCI, p.MinWindows = 0.05, 8 }},
+	{"phase", func(p *sample.Policy) { p.Schedule, p.PhaseIntervals = sample.SchedulePhase, 16 }},
+	{"segmented-1", func(p *sample.Policy) { p.SegmentWindows, p.Parallelism = 4, 1 }},
+	{"segmented-2", func(p *sample.Policy) { p.SegmentWindows, p.Parallelism = 4, 2 }},
+}
+
+// gateOptions returns benchmark i's gate options under schedule tune
+// (nil = an exact run).
+func gateOptions(i int, tune func(*sample.Policy)) sim.Options {
+	opt := engineGateOptions(i)
+	if tune != nil {
+		pol := sample.Policy{DetailedRefs: 512, WarmRefs: 2048, DetailedWarmRefs: 128}
+		tune(&pol)
+		opt.Sampling = &pol
 	}
 	return opt
 }
 
 func TestEnginesAgreeOnCorpus(t *testing.T) {
 	if testing.Short() {
-		t.Skip("2x26 full runs; skipped under -short")
+		t.Skip("2x26 runs per schedule; skipped under -short")
 	}
 	for i, bench := range workload.Names() {
 		i, bench := i, bench
 		t.Run(bench, func(t *testing.T) {
 			t.Parallel()
-			opt := engineGateOptions(i)
 			spec := workload.MustProfile(bench)
+			for _, sc := range gateSchedules {
+				sc := sc
+				t.Run(sc.name, func(t *testing.T) {
+					opt := gateOptions(i, sc.tune)
+					ref, err := sim.Run(context.Background(),
+						sim.Spec{Workload: spec, Opts: opt, Engine: sim.EngineReference})
+					if err != nil {
+						t.Fatal(err)
+					}
+					fast, err := sim.Run(context.Background(),
+						sim.Spec{Workload: spec, Opts: opt, Engine: sim.EngineFast})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ref.Engine != sim.EngineReference || fast.Engine != sim.EngineFast {
+						t.Fatalf("engine labels wrong: ref %q, fast %q", ref.Engine, fast.Engine)
+					}
+					if sc.tune != nil && ref.Estimate.Windows < 8 {
+						t.Fatalf("only %d windows; the gate needs at least 8", ref.Estimate.Windows)
+					}
 
-			ref, err := sim.Run(context.Background(),
-				sim.Spec{Workload: spec, Opts: opt, Engine: sim.EngineReference})
-			if err != nil {
-				t.Fatal(err)
-			}
-			fast, err := sim.Run(context.Background(),
-				sim.Spec{Workload: spec, Opts: opt, Engine: sim.EngineFast})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref.Engine != sim.EngineReference || fast.Engine != sim.EngineFast {
-				t.Fatalf("engine labels wrong: ref %q, fast %q", ref.Engine, fast.Engine)
-			}
-
-			// Canonical-JSON byte equality (Engine is json:"-", so the
-			// label itself is excluded — by design: results must be
-			// engine-neutral).
-			rb, err := json.MarshalIndent(ref, "", " ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			fb, err := json.MarshalIndent(fast, "", " ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(rb, fb) {
-				t.Errorf("engines diverge on %s:\nreference: %s\nfast:      %s", bench, rb, fb)
+					// Canonical-JSON byte equality (Engine is json:"-", so
+					// the label itself is excluded — by design: results
+					// must be engine-neutral).
+					rb, err := json.MarshalIndent(ref, "", " ")
+					if err != nil {
+						t.Fatal(err)
+					}
+					fb, err := json.MarshalIndent(fast, "", " ")
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(rb, fb) {
+						t.Errorf("engines diverge:\nreference: %s\nfast:      %s", rb, fb)
+					}
+				})
 			}
 		})
 	}

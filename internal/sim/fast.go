@@ -10,24 +10,22 @@ import (
 	"timekeeping/internal/trace"
 )
 
-// runFast drives the batched struct-of-arrays engine (internal/engine).
-// The construction, warm-up/reset/measure sequence, and result assembly
-// mirror runReference exactly; the differential gate in internal/golden
-// holds the two paths byte-identical over the whole corpus.
-func runFast(ctx context.Context, name string, stream trace.Stream, opt Options) (Result, error) {
-	e := engine.New(engine.Config{Hier: opt.Hier, CPU: opt.CPU})
-
+// assembleFast attaches opt's mechanisms to the batched engine and returns
+// the rig driving it. tr, when non-nil, is the tracker to attach.
+func assembleFast(opt Options, e *engine.Engine, tr *core.FastTracker) (*rig, error) {
+	r := &rig{m: e}
 	vc, err := newVictimCache(opt, e.NumFrames())
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if vc != nil {
 		e.AttachVictim(vc)
+		r.vc = vc
 	}
 
 	pfs, err := newPrefetchers(opt, e.L1())
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	switch {
 	case pfs.tk != nil:
@@ -37,23 +35,48 @@ func runFast(ctx context.Context, name string, stream trace.Stream, opt Options)
 	case pfs.nl != nil:
 		e.AttachNextLine(pfs.nl)
 	}
+	r.pfs = pfs
 
-	var tracker *core.FastTracker
-	if opt.Track {
-		tracker = core.NewFastTracker(e.NumFrames())
-		e.AttachTracker(tracker)
+	if tr != nil {
+		e.AttachTracker(tr)
+		r.tracker = tr
 	}
-
-	var dec *decay.Sim
 	if len(opt.DecayIntervals) > 0 {
-		dec = decay.New(e.NumFrames(), opt.DecayIntervals)
-		e.AttachDecay(dec)
+		r.dec = decay.New(e.NumFrames(), opt.DecayIntervals)
+		e.AttachDecay(r.dec)
 	}
+	return r, nil
+}
 
+// runFast drives the batched struct-of-arrays engine (internal/engine).
+// The construction, warm-up/reset/measure sequence, and result assembly
+// mirror runReference exactly, and sampled runs share its runSampled; the
+// differential gates hold the two paths byte-identical.
+func runFast(ctx context.Context, name string, stream trace.Stream, factory func() (trace.Stream, error), opt Options) (Result, error) {
+	e := engine.New(engine.Config{Hier: opt.Hier, CPU: opt.CPU})
+	var tr *core.FastTracker
+	if opt.Track {
+		tr = core.NewFastTracker(e.NumFrames())
+	}
+	r, err := assembleFast(opt, e, tr)
+	if err != nil {
+		return Result{}, err
+	}
 	if opt.DropSWPrefetch {
 		stream = &trace.DropSWPrefetch{S: stream}
 	}
 	e.SetProgress(opt.Progress)
+
+	if opt.Sampling != nil {
+		fork := func() (*rig, error) {
+			var tr2 *core.FastTracker
+			if tr != nil {
+				tr2 = tr.Clone()
+			}
+			return assembleFast(opt, e.Clone(), tr2)
+		}
+		return runSampled(ctx, name, r, fork, stream, factory, opt)
+	}
 
 	opt.Progress.Begin(obs.PhaseWarmup, opt.WarmupRefs+opt.MeasureRefs)
 	warm, err := e.Run(ctx, stream, opt.WarmupRefs)
@@ -64,13 +87,7 @@ func runFast(ctx context.Context, name string, stream trace.Stream, opt Options)
 	// Measurement window: reset statistics, keep all state (the same
 	// sequence, in the same order, as runReference).
 	e.ResetStats()
-	if vc != nil {
-		vc.ResetStats()
-	}
-	pfs.resetStats()
-	if tracker != nil {
-		tracker.Reset()
-	}
+	r.resetMechStats()
 
 	opt.Progress.SetPhase(obs.PhaseMeasure)
 	final, err := e.Run(ctx, stream, opt.MeasureRefs)
@@ -84,16 +101,6 @@ func runFast(ctx context.Context, name string, stream trace.Stream, opt Options)
 		Hier:      e.Stats(),
 		TotalRefs: final.Refs,
 	}
-	if vc != nil {
-		s := vc.Stats()
-		res.Victim = &s
-	}
-	if tracker != nil {
-		res.Tracker = tracker.Metrics()
-	}
-	if dec != nil {
-		res.Decay = dec.Results()
-	}
-	pfs.report(&res)
+	r.outputs().report(&res)
 	return res, nil
 }

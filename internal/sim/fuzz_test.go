@@ -16,7 +16,9 @@ import (
 	"timekeeping/internal/cache"
 	"timekeeping/internal/core"
 	"timekeeping/internal/cpu"
+	"timekeeping/internal/engine"
 	"timekeeping/internal/hier"
+	"timekeeping/internal/sample"
 	"timekeeping/internal/sim"
 	"timekeeping/internal/trace"
 	"timekeeping/internal/workload"
@@ -151,10 +153,13 @@ func FuzzAuditedRun(f *testing.F) {
 }
 
 // FuzzCloneDiverge hunts for inputs where a mid-run clone diverges from
-// its original: it splits a randomly shaped workload at a random point,
-// clones the hierarchy/CPU/tracker there, drives both copies through the
-// identical suffix — mixing the functional and detailed modes the sampler
-// alternates — and fails on any difference in CPU results, hierarchy
+// its original, or either engine from the other: it splits a randomly
+// shaped workload at a random point, drives the reference
+// hierarchy/CPU/tracker and the batched engine with its fast tracker
+// through the identical prefix, clones both there, drives all four
+// copies through the identical suffix — mixing the functional and
+// detailed modes the sampler alternates, with the trackers recording
+// throughout — and fails on any difference in CPU results, hierarchy
 // stats, or tracker metrics. Seeds reuse the FuzzAuditedRun corpus shape.
 func FuzzCloneDiverge(f *testing.F) {
 	f.Add(uint64(1), uint64(0), uint64(0), uint64(512), uint64(3), uint64(100))
@@ -186,49 +191,66 @@ func FuzzCloneDiverge(f *testing.F) {
 		tr := core.NewTracker(h.L1().NumFrames())
 		h.AddObserver(tr)
 		m := cpu.New(cpu.DefaultConfig(), h)
+		e := engine.New(engine.Config{Hier: hcfg, CPU: cpu.DefaultConfig()})
+		ft := core.NewFastTracker(e.NumFrames())
+		e.AttachTracker(ft)
 
 		ctx := context.Background()
-		s1 := &trace.SliceStream{Refs: refs}
-		// Split the prefix between the functional and detailed paths so
-		// clones taken after either mode are covered.
-		if mech&1 != 0 {
-			if _, err := m.RunFunctional(ctx, s1, prefix/2, 1); err != nil {
+		// run drives one machine through n references, the first half
+		// functionally when functional is set.
+		run := func(mc sample.Machine, s trace.Stream, n uint64, functional bool) {
+			t.Helper()
+			if functional {
+				if _, err := mc.RunFunctional(ctx, s, n/2, 1); err != nil {
+					t.Fatal(err)
+				}
+				n -= n / 2
+			}
+			if _, err := mc.Run(ctx, s, n); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if _, err := m.RunContext(ctx, s1, prefix-prefix/2*(mech&1)); err != nil {
-			t.Fatal(err)
-		}
+		// Split the prefix between the functional and detailed paths so
+		// clones taken after either mode are covered.
+		ref := sample.Reference{CPU: m, Hier: h}
+		sRef := &trace.SliceStream{Refs: refs}
+		sFast := &trace.SliceStream{Refs: refs}
+		run(ref, sRef, prefix, mech&1 != 0)
+		run(e, sFast, prefix, mech&1 != 0)
 		consumed := m.Snapshot().Refs
 
 		h2 := h.Clone()
 		tr2 := tr.Clone()
 		h2.AddObserver(tr2)
-		m2 := m.Clone(h2)
-		s2 := &trace.SliceStream{Refs: refs[consumed:]}
+		ref2 := sample.Reference{CPU: m.Clone(h2), Hier: h2}
+		e2 := e.Clone()
+		ft2 := ft.Clone()
+		e2.AttachTracker(ft2)
 
-		run := func(m *cpu.Model, s trace.Stream) {
-			t.Helper()
-			if mech&2 != 0 {
-				if _, err := m.RunFunctional(ctx, s, suffix/2, 1); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := m.RunContext(ctx, s, suffix); err != nil {
-				t.Fatal(err)
-			}
-		}
-		run(m, s1)
-		run(m2, s2)
+		run(ref, sRef, suffix, mech&2 != 0)
+		run(ref2, &trace.SliceStream{Refs: refs[consumed:]}, suffix, mech&2 != 0)
+		run(e, sFast, suffix, mech&2 != 0)
+		run(e2, &trace.SliceStream{Refs: refs[consumed:]}, suffix, mech&2 != 0)
 
-		if a, b := m.Snapshot(), m2.Snapshot(); a != b {
-			t.Fatalf("cpu snapshots diverged:\noriginal %+v\nclone %+v", a, b)
+		machines := []struct {
+			name string
+			mc   sample.Machine
+			tm   *core.Metrics
+		}{
+			{"reference clone", ref2, tr2.Metrics()},
+			{"engine", e, ft.Metrics()},
+			{"engine clone", e2, ft2.Metrics()},
 		}
-		if a, b := h.Stats(), h2.Stats(); a != b {
-			t.Fatalf("hier stats diverged:\noriginal %+v\nclone %+v", a, b)
-		}
-		if !reflect.DeepEqual(tr.Metrics(), tr2.Metrics()) {
-			t.Fatal("tracker metrics diverged")
+		for _, o := range machines {
+			if a, b := ref.Snapshot(), o.mc.Snapshot(); a != b {
+				t.Fatalf("%s: cpu snapshot diverged from the reference original:\nreference %+v\n%s %+v", o.name, a, o.name, b)
+			}
+			if a, b := ref.Stats(), o.mc.Stats(); a != b {
+				t.Fatalf("%s: hier stats diverged from the reference original:\nreference %+v\n%s %+v", o.name, a, o.name, b)
+			}
+			if !reflect.DeepEqual(tr.Metrics(), o.tm) {
+				t.Fatalf("%s: tracker metrics diverged from the reference original", o.name)
+			}
 		}
 	})
 }

@@ -5,19 +5,17 @@ import (
 	"sync"
 
 	"timekeeping/internal/core"
-	"timekeeping/internal/cpu"
-	"timekeeping/internal/decay"
-	"timekeeping/internal/hier"
 	"timekeeping/internal/sample"
 	"timekeeping/internal/trace"
 	"timekeeping/internal/victim"
 )
 
 // This file supplies the sim-side plumbing for segment-parallel sampling
-// (sample.Policy.SegmentWindows > 0): forking the reference stream at
-// segment boundaries, building isolated simulation instances from a cold
-// prototype, and pooling per-segment mechanism outputs in fixed segment
-// order so the result is independent of worker scheduling.
+// (sample.Policy.SegmentWindows > 0), for either engine: forking the
+// reference stream at segment boundaries, building isolated simulation
+// instances from a cold prototype, and pooling per-segment mechanism
+// outputs in fixed segment order so the result is independent of worker
+// scheduling.
 
 // segmentStream returns the sample.Config.SegmentStream hook: re-derive
 // the stream from its origin, apply the same stream-level filtering the
@@ -45,88 +43,47 @@ func segmentStream(factory func() (trace.Stream, error), opt Options) func(offse
 	}
 }
 
-// segInstance holds one segment's mechanism attachments for post-run
-// pooling (the cpu/hier pair lives in the sample.Instance).
-type segInstance struct {
-	vc      *victim.Cache
-	pfs     prefetchers
-	tracker *core.Tracker
-	dec     *decay.Sim
-}
-
-// segmentMechs registers segment instances as concurrent workers build
-// them, and pools their outputs afterwards.
-type segmentMechs struct {
+// segmentOutputs collects each finished segment's outputs as concurrent
+// workers complete them, and pools them afterwards.
+type segmentOutputs struct {
 	mu   sync.Mutex
-	byID map[int]*segInstance
+	byID map[int]outputs
 }
 
-func (s *segmentMechs) put(seg int, inst *segInstance) {
+func (s *segmentOutputs) put(seg int, o outputs) {
 	s.mu.Lock()
-	s.byID[seg] = inst
+	s.byID[seg] = o
 	s.mu.Unlock()
 }
 
-// newInstanceFactory returns the sample.Config.NewInstance hook: clone
-// the cold prototype hierarchy and CPU for the segment and attach fresh
-// mechanism instances (a cold fresh mechanism is identical to a cold
-// clone, and fresh construction avoids aliasing mechanism state across
-// instances). The clones keep the prototype's shared process counters and
-// progress handle, both of which are atomic.
-func newInstanceFactory(h *hier.Hierarchy, m *cpu.Model, tracker *core.Tracker, segs *segmentMechs, opt Options) func(seg int) (sample.Instance, error) {
+// newInstance returns the sample.Config.NewInstance hook: fork a segment
+// instance off the cold prototype (fork clones its machine and attaches
+// fresh mechanisms — a cold fresh mechanism is identical to a cold clone,
+// and fresh construction avoids aliasing mechanism state across
+// instances), and once the segment finishes keep only its outputs. A
+// finished segment's tables — the tracker's block history above all —
+// would otherwise stay live until every segment is done.
+func (s *segmentOutputs) newInstance(fork func() (*rig, error)) func(seg int) (sample.Instance, error) {
 	return func(seg int) (sample.Instance, error) {
-		h2 := h.Clone()
-		inst := &segInstance{}
-		si := sample.Instance{Hier: h2}
-
-		vc2, err := newVictimCache(opt, h2.L1().NumFrames())
+		r, err := fork()
 		if err != nil {
 			return sample.Instance{}, err
 		}
-		if vc2 != nil {
-			h2.AttachVictim(vc2)
-			inst.vc = vc2
+		inst := sample.Instance{
+			Machine: r.m,
+			Finish:  func() { s.put(seg, r.outputs()) },
 		}
-
-		pfs2, err := newPrefetchers(opt, h2.L1())
-		if err != nil {
-			return sample.Instance{}, err
+		if r.tracker != nil {
+			inst.Warmables = []sample.Warmable{r.tracker}
 		}
-		switch {
-		case pfs2.tk != nil:
-			h2.AttachPrefetcher(pfs2.tk)
-		case pfs2.dbcp != nil:
-			h2.AttachPrefetcher(pfs2.dbcp)
-		case pfs2.nl != nil:
-			h2.AttachPrefetcher(pfs2.nl)
-		}
-		inst.pfs = pfs2
-
-		if tracker != nil {
-			// Clone rather than construct: the prototype tracker is cold,
-			// so the two are equivalent, and cloning keeps the production
-			// path exercising Tracker.Clone.
-			t2 := tracker.Clone()
-			h2.AddObserver(t2)
-			inst.tracker = t2
-			si.Warmables = append(si.Warmables, t2)
-		}
-		if len(opt.DecayIntervals) > 0 {
-			d2 := decay.New(h2.L1().NumFrames(), opt.DecayIntervals)
-			h2.AddObserver(d2)
-			inst.dec = d2
-		}
-
-		si.CPU = m.Clone(h2)
-		segs.put(seg, inst)
-		return si, nil
+		return inst, nil
 	}
 }
 
-// report pools the per-segment mechanism outputs into res in ascending
-// segment order — like the estimate itself, the pooled tallies are a pure
+// report pools the per-segment outputs into res in ascending segment
+// order — like the estimate itself, the pooled tallies are a pure
 // function of the schedule, never of completion order.
-func (s *segmentMechs) report(res *Result) {
+func (s *segmentOutputs) report(res *Result) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ids := make([]int, 0, len(s.byID))
@@ -135,56 +92,43 @@ func (s *segmentMechs) report(res *Result) {
 	}
 	sort.Ints(ids)
 
-	var (
-		vs      *victim.Stats
-		tm      *core.Metrics
-		decAgg  *decay.Sim
-		pfsAgg  prefetchers
-		havePfs bool
-	)
-	for _, id := range ids {
-		inst := s.byID[id]
-		if inst.vc != nil {
-			st := inst.vc.Stats()
-			if vs == nil {
-				vs = &victim.Stats{}
+	var agg outputs
+	for i, id := range ids {
+		o := s.byID[id]
+		if o.victim != nil {
+			if agg.victim == nil {
+				agg.victim = &victim.Stats{}
 			}
-			vs.Offered += st.Offered
-			vs.Admitted += st.Admitted
-			vs.Lookups += st.Lookups
-			vs.Hits += st.Hits
+			agg.victim.Offered += o.victim.Offered
+			agg.victim.Admitted += o.victim.Admitted
+			agg.victim.Lookups += o.victim.Lookups
+			agg.victim.Hits += o.victim.Hits
 		}
-		if inst.tracker != nil {
-			if tm == nil {
-				tm = core.NewMetrics()
+		if o.tracker != nil {
+			if agg.tracker == nil {
+				agg.tracker = core.NewMetrics()
 			}
-			tm.Merge(inst.tracker.Metrics())
+			agg.tracker.Merge(o.tracker)
 		}
-		if inst.dec != nil {
-			if decAgg == nil {
-				decAgg = inst.dec
+		if o.dec != nil {
+			if agg.dec == nil {
+				agg.dec = o.dec
 			} else {
-				decAgg.Merge(inst.dec)
+				agg.dec.Merge(o.dec)
 			}
 		}
-		if !havePfs {
-			pfsAgg = inst.pfs
-			havePfs = true
-		} else {
-			switch {
-			case pfsAgg.tk != nil:
-				pfsAgg.tk.MergeStats(inst.pfs.tk)
-			case pfsAgg.dbcp != nil:
-				pfsAgg.dbcp.MergeStats(inst.pfs.dbcp)
-			case pfsAgg.nl != nil:
-				pfsAgg.nl.MergeStats(inst.pfs.nl)
-			}
+		if i == 0 {
+			agg.pfs = o.pfs
+			continue
+		}
+		switch {
+		case agg.pfs.tk != nil:
+			agg.pfs.tk.MergeStats(o.pfs.tk)
+		case agg.pfs.dbcp != nil:
+			agg.pfs.dbcp.MergeStats(o.pfs.dbcp)
+		case agg.pfs.nl != nil:
+			agg.pfs.nl.MergeStats(o.pfs.nl)
 		}
 	}
-	res.Victim = vs
-	res.Tracker = tm
-	if decAgg != nil {
-		res.Decay = decAgg.Results()
-	}
-	pfsAgg.report(res)
+	agg.report(res)
 }

@@ -80,7 +80,7 @@ func TestSampledEstimateMatchesGolden(t *testing.T) {
 }
 
 // TestSampledSpeedup checks the performance criterion on the benchmark
-// where the exact run is most expensive per reference. The full ≥3×
+// where the exact run is most expensive per reference. The full
 // demonstration is BenchmarkSampledSpeedup; the in-suite threshold is
 // 2.0× to stay robust on loaded CI machines.
 func TestSampledSpeedup(t *testing.T) {
@@ -89,12 +89,11 @@ func TestSampledSpeedup(t *testing.T) {
 	}
 	spec := workload.MustProfile("facerec")
 
-	// Sampling alternates functional warming with detailed windows on
-	// the reference model, so its speedup promise is relative to an
-	// exact reference-engine run — pin the engine accordingly.
+	// Both runs take the default engine, so the ratio measures sampling
+	// itself rather than one engine against the other.
 	exact := golden.CorpusOptions()
 	start := time.Now()
-	if _, err := sim.Run(context.Background(), sim.Spec{Workload: spec, Opts: exact, Engine: sim.EngineReference}); err != nil {
+	if _, err := sim.Run(context.Background(), sim.Spec{Workload: spec, Opts: exact}); err != nil {
 		t.Fatal(err)
 	}
 	exactWall := time.Since(start)

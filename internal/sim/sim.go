@@ -7,10 +7,13 @@
 // reference stream), carries the Options, and selects the execution
 // engine: the batched struct-of-arrays fast engine (internal/engine) or
 // the original reference loop (internal/cpu + internal/hier). Both
-// produce bit-identical results — the differential gate in
-// internal/golden proves it over the full corpus — so EngineAuto picks
-// the fast engine whenever the run's options allow it and falls back to
-// the reference loop for audited, sampled, or event-capturing runs.
+// produce bit-identical results — exact and sampled, proven by the
+// differential gates over the full corpus — so EngineAuto picks the fast
+// engine for every exact and sampled run and falls back to the reference
+// loop only for audited runs (Options.Audit or TK_AUDIT) and
+// event-capturing runs, whose hooks live there. Sampled runs of both
+// engines share one assembly (runSampled), so the sampling schedules
+// drive either engine through the same code.
 package sim
 
 import (
@@ -128,8 +131,8 @@ type Engine string
 // in which optional instrumentation they support.
 const (
 	// EngineAuto picks EngineFast when the run's options allow it and
-	// EngineReference otherwise (audit, sampling, event capture). The
-	// zero value "" behaves like EngineAuto everywhere.
+	// EngineReference otherwise (audit, event capture). The zero value
+	// "" behaves like EngineAuto everywhere.
 	EngineAuto Engine = "auto"
 	// EngineFast is the batched struct-of-arrays engine
 	// (internal/engine). It rejects options it cannot honour.
@@ -221,7 +224,9 @@ type Options struct {
 	// cover the whole run and tracker metrics cover detailed windows.
 	// The field marshals (omitted when nil), so sampled and exact runs
 	// get distinct simcache keys. Incompatible with Audit — see
-	// ErrSampledAudit. Sampled runs always use the reference engine.
+	// ErrSampledAudit. Sampled runs take the fast engine like exact
+	// runs; segment instances clone it. Only event capture, TK_AUDIT or
+	// an explicit EngineReference send them to the reference loop.
 	Sampling *sample.Policy `json:",omitempty"`
 
 	WarmupRefs  uint64
@@ -389,7 +394,7 @@ func Run(ctx context.Context, s Spec) (Result, error) {
 
 	var res Result
 	if eng == EngineFast {
-		res, err = runFast(ctx, name, stream, opt)
+		res, err = runFast(ctx, name, stream, factory, opt)
 	} else {
 		res, err = runReference(ctx, name, stream, factory, opt)
 	}
@@ -404,8 +409,6 @@ func Run(ctx context.Context, s Spec) (Result, error) {
 // cannot, reason names the first blocking option.
 func fastEligible(opt Options) (ok bool, reason string) {
 	switch {
-	case opt.Sampling != nil:
-		return false, "sampling drives the reference model through functional warming"
 	case opt.Audit:
 		return false, "audit hooks the lockstep oracle into the reference loop"
 	case auditForced():
@@ -569,31 +572,89 @@ func (p prefetchers) report(res *Result) {
 	}
 }
 
-// runReference drives the original cpu.Model + hier.Hierarchy loop. It
-// is the executable specification: every option works here, and the
-// differential gate measures the fast engine against its output. factory
-// re-derives the (unfiltered) stream from its origin; it may be nil, in
-// which case segment-parallel sampling is unavailable.
-func runReference(ctx context.Context, name string, stream trace.Stream, factory func() (trace.Stream, error), opt Options) (Result, error) {
-	h := hier.New(opt.Hier)
-	if opt.Events != nil {
-		h.SetEvents(opt.Events)
-	}
+// tracker is what a run needs from either engine's timekeeping tracker.
+type tracker interface {
+	sample.Warmable
+	Metrics() *core.Metrics
+	Reset()
+}
 
+// rig is one assembled simulation instance, whichever engine drives it:
+// the machine that steps references and the mechanisms attached to it.
+type rig struct {
+	m       sample.Machine
+	vc      *victim.Cache
+	pfs     prefetchers
+	tracker tracker
+	dec     *decay.Sim
+}
+
+// resetMechStats clears the mechanisms' measurement counters at the
+// warm-up boundary of an exact run, keeping all their state.
+func (r *rig) resetMechStats() {
+	if r.vc != nil {
+		r.vc.ResetStats()
+	}
+	r.pfs.resetStats()
+	if r.tracker != nil {
+		r.tracker.Reset()
+	}
+}
+
+// outputs returns the mechanisms' results.
+func (r *rig) outputs() outputs {
+	o := outputs{dec: r.dec, pfs: r.pfs}
+	if r.vc != nil {
+		s := r.vc.Stats()
+		o.victim = &s
+	}
+	if r.tracker != nil {
+		o.tracker = r.tracker.Metrics()
+	}
+	return o
+}
+
+// outputs are what a run reports beyond its CPU and hierarchy counters:
+// the mechanisms' tallies. The decay evaluation and the prefetcher carry
+// their tallies themselves, so they stand in for them.
+type outputs struct {
+	victim  *victim.Stats
+	tracker *core.Metrics
+	dec     *decay.Sim
+	pfs     prefetchers
+}
+
+// report copies the outputs into res.
+func (o outputs) report(res *Result) {
+	res.Victim = o.victim
+	res.Tracker = o.tracker
+	if o.dec != nil {
+		res.Decay = o.dec.Results()
+	}
+	o.pfs.report(res)
+}
+
+// assembleReference attaches opt's mechanisms to h in the reference
+// attachment order and returns the rig driving it with m. tr, when
+// non-nil, is the tracker to attach; ev, when non-nil, receives the
+// mechanisms' events.
+func assembleReference(opt Options, h *hier.Hierarchy, m *cpu.Model, tr *core.Tracker, ev *events.Sink) (*rig, error) {
+	r := &rig{m: sample.Reference{CPU: m, Hier: h}}
 	vc, err := newVictimCache(opt, h.L1().NumFrames())
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	if vc != nil {
-		if opt.Events != nil {
-			vc.SetEvents(opt.Events)
+		if ev != nil {
+			vc.SetEvents(ev)
 		}
 		h.AttachVictim(vc)
+		r.vc = vc
 	}
 
 	pfs, err := newPrefetchers(opt, h.L1())
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	switch {
 	case pfs.tk != nil:
@@ -603,31 +664,68 @@ func runReference(ctx context.Context, name string, stream trace.Stream, factory
 	case pfs.nl != nil:
 		h.AttachPrefetcher(pfs.nl)
 	}
+	r.pfs = pfs
 
-	var tracker *core.Tracker
-	if opt.Track {
-		tracker = core.NewTracker(h.L1().NumFrames())
-		h.AddObserver(tracker)
+	if tr != nil {
+		h.AddObserver(tr)
+		r.tracker = tr
 	}
-
-	var dec *decay.Sim
 	if len(opt.DecayIntervals) > 0 {
-		dec = decay.New(h.L1().NumFrames(), opt.DecayIntervals)
-		if opt.Events != nil {
-			dec.SetEvents(opt.Events)
+		dec := decay.New(h.L1().NumFrames(), opt.DecayIntervals)
+		if ev != nil {
+			dec.SetEvents(ev)
 		}
 		h.AddObserver(dec)
+		r.dec = dec
+	}
+	return r, nil
+}
+
+// runReference drives the original cpu.Model + hier.Hierarchy loop. It
+// is the executable specification: every option works here, and the
+// differential gate measures the fast engine against its output. factory
+// re-derives the (unfiltered) stream from its origin; it may be nil, in
+// which case the phase and segmented sampling schedules are unavailable.
+func runReference(ctx context.Context, name string, stream trace.Stream, factory func() (trace.Stream, error), opt Options) (Result, error) {
+	h := hier.New(opt.Hier)
+	if opt.Events != nil {
+		h.SetEvents(opt.Events)
+	}
+	var tr *core.Tracker
+	if opt.Track {
+		tr = core.NewTracker(h.L1().NumFrames())
+	}
+	m := cpu.New(opt.CPU, h)
+	m.SetProgress(opt.Progress)
+	r, err := assembleReference(opt, h, m, tr, opt.Events)
+	if err != nil {
+		return Result{}, err
+	}
+	if opt.DropSWPrefetch {
+		stream = &trace.DropSWPrefetch{S: stream}
+	}
+
+	if opt.Sampling != nil {
+		// An explicit Audit was rejected in Run; TK_AUDIT-forced audit
+		// cannot apply (the functional path performs no timing for the
+		// oracle to mirror), so it is skipped with a warning.
+		if !opt.Audit && auditForced() {
+			slog.Warn("TK_AUDIT ignored: sampled runs cannot be audited (functional warming has no timing for the oracle to mirror)",
+				"bench", name)
+		}
+		fork := func() (*rig, error) {
+			h2 := h.Clone()
+			var tr2 *core.Tracker
+			if tr != nil {
+				tr2 = tr.Clone()
+			}
+			return assembleReference(opt, h2, m.Clone(h2), tr2, nil)
+		}
+		return runSampled(ctx, name, r, fork, stream, factory, opt)
 	}
 
 	var aud *oracle.Auditor
-	// Sampled runs never attach the auditor: an explicit Audit was
-	// rejected above, and TK_AUDIT-forced audit cannot apply (the
-	// functional path performs no timing for the oracle to mirror).
-	if opt.Sampling != nil && !opt.Audit && auditForced() {
-		slog.Warn("TK_AUDIT ignored: sampled runs cannot be audited (functional warming has no timing for the oracle to mirror)",
-			"bench", name)
-	}
-	if opt.Sampling == nil && (opt.Audit || auditForced()) {
+	if opt.Audit || auditForced() {
 		// The tracker and decay cross-checks are frame-keyed on the real
 		// side and block-keyed on the oracle side; the two agree only
 		// while no prefetcher swaps frame contents behind the observers'
@@ -644,135 +742,111 @@ func runReference(ctx context.Context, name string, stream trace.Stream, factory
 		h.SetAuditor(aud)
 	}
 
-	if opt.DropSWPrefetch {
-		stream = &trace.DropSWPrefetch{S: stream}
-	}
-
-	m := cpu.New(opt.CPU, h)
-	m.SetProgress(opt.Progress)
-
-	var res Result
-	var segs *segmentMechs
-	if opt.Sampling != nil {
-		// Sampled run: the engine owns the warm/measure alternation and
-		// the progress lifecycle; tracker metrics accumulate only inside
-		// detailed windows (no mid-run reset needed).
-		var warmables []sample.Warmable
-		if tracker != nil {
-			warmables = append(warmables, tracker)
-		}
-		scfg := sample.Config{
-			CPU:         m,
-			Hier:        h,
-			Stream:      stream,
-			Policy:      *opt.Sampling,
-			WarmupRefs:  opt.WarmupRefs,
-			MeasureRefs: opt.MeasureRefs,
-			Progress:    opt.Progress,
-			Warmables:   warmables,
-			Events:      opt.Events,
-		}
-		if opt.Sampling.SegmentWindows > 0 {
-			if factory == nil {
-				return Result{}, fmt.Errorf("sim: segment-parallel sampling needs a re-derivable stream (workload-backed runs, or Spec.StreamFactory for explicit streams)")
-			}
-			segs = &segmentMechs{byID: make(map[int]*segInstance)}
-			scfg.SegmentStream = segmentStream(factory, opt)
-			scfg.NewInstance = newInstanceFactory(h, m, tracker, segs, opt)
-		}
-		if opt.Sampling.Schedule == sample.SchedulePhase {
-			// The phase schedule re-derives the stream for its profiling
-			// pass (signature extraction), then measures on the primary.
-			if factory == nil {
-				return Result{}, fmt.Errorf("sim: phase-aware sampling needs a re-derivable stream (workload-backed runs, or Spec.StreamFactory for explicit streams)")
-			}
-			scfg.SegmentStream = segmentStream(factory, opt)
-		}
-		out, err := sample.Run(ctx, scfg)
-		if err != nil {
-			return Result{}, err
-		}
-		res = Result{
-			Bench:     name,
-			CPU:       out.CPU,
-			Hier:      out.Hier,
-			TotalRefs: out.TotalRefs,
-			Estimate:  &out.Estimate,
-		}
-	} else {
-		// Progress: one Begin per run (Expected accumulates for multi-run
-		// jobs); the phase flips to measure at the warm-up boundary.
-		// PhaseDone is the job owner's call — a sweep runs many
-		// simulations under one handle.
-		opt.Progress.Begin(obs.PhaseWarmup, opt.WarmupRefs+opt.MeasureRefs)
-		runName := "run"
-		if aud != nil {
-			runName = "audited-run"
-		}
-		runSpan := opt.Events.BeginSpan(runName, m.Now())
-		warmSpan := opt.Events.BeginSpan("warmup", m.Now())
-		warm, err := runPhase(ctx, m, stream, opt.WarmupRefs)
-		opt.Events.EndSpan(warmSpan, m.Now())
-		if err != nil {
-			return Result{}, err
-		}
-
-		// Measurement window: reset statistics, keep all state.
-		h.ResetStats()
-		if vc != nil {
-			vc.ResetStats()
-		}
-		pfs.resetStats()
-		if tracker != nil {
-			tracker.Reset()
-		}
-		if aud != nil {
-			aud.ResetStats()
-		}
-
-		opt.Progress.SetPhase(obs.PhaseMeasure)
-		measureSpan := opt.Events.BeginSpan("measure", m.Now())
-		final, err := runPhase(ctx, m, stream, opt.MeasureRefs)
-		opt.Events.EndSpan(measureSpan, m.Now())
-		opt.Events.EndSpan(runSpan, m.Now())
-		if err != nil {
-			return Result{}, err
-		}
-
-		res = Result{
-			Bench:     name,
-			CPU:       final.Minus(warm),
-			Hier:      h.Stats(),
-			TotalRefs: final.Refs,
-		}
-	}
-	if segs != nil {
-		// Segment-parallel run: the prototype's mechanisms never executed;
-		// pool each segment instance's outputs in fixed segment order.
-		segs.report(&res)
-		return res, nil
-	}
-	if vc != nil {
-		s := vc.Stats()
-		res.Victim = &s
-	}
-	if tracker != nil {
-		res.Tracker = tracker.Metrics()
-	}
-	if dec != nil {
-		res.Decay = dec.Results()
-	}
+	// Progress: one Begin per run (Expected accumulates for multi-run
+	// jobs); the phase flips to measure at the warm-up boundary.
+	// PhaseDone is the job owner's call — a sweep runs many simulations
+	// under one handle.
+	opt.Progress.Begin(obs.PhaseWarmup, opt.WarmupRefs+opt.MeasureRefs)
+	runName := "run"
 	if aud != nil {
-		var tm *core.Metrics
-		if tracker != nil {
-			tm = tracker.Metrics()
-		}
-		if err := aud.Finish(tm, res.Decay); err != nil {
+		runName = "audited-run"
+	}
+	runSpan := opt.Events.BeginSpan(runName, m.Now())
+	warmSpan := opt.Events.BeginSpan("warmup", m.Now())
+	warm, err := runPhase(ctx, m, stream, opt.WarmupRefs)
+	opt.Events.EndSpan(warmSpan, m.Now())
+	if err != nil {
+		return Result{}, err
+	}
+
+	// Measurement window: reset statistics, keep all state.
+	h.ResetStats()
+	r.resetMechStats()
+	if aud != nil {
+		aud.ResetStats()
+	}
+
+	opt.Progress.SetPhase(obs.PhaseMeasure)
+	measureSpan := opt.Events.BeginSpan("measure", m.Now())
+	final, err := runPhase(ctx, m, stream, opt.MeasureRefs)
+	opt.Events.EndSpan(measureSpan, m.Now())
+	opt.Events.EndSpan(runSpan, m.Now())
+	if err != nil {
+		return Result{}, err
+	}
+
+	res := Result{
+		Bench:     name,
+		CPU:       final.Minus(warm),
+		Hier:      h.Stats(),
+		TotalRefs: final.Refs,
+	}
+	r.outputs().report(&res)
+	if aud != nil {
+		if err := aud.Finish(res.Tracker, res.Decay); err != nil {
 			return Result{}, err
 		}
 		res.Audit = aud.Summary()
 	}
-	pfs.report(&res)
+	return res, nil
+}
+
+// runSampled drives a sampled run on an assembled rig, whichever engine
+// it carries; sample owns the warm/measure alternation and the progress
+// lifecycle, and tracker metrics accumulate only inside detailed windows.
+// fork builds a segment instance off the rig's cold state (segmented
+// policies only). factory re-derives the unfiltered stream; it may be
+// nil, in which case the phase and segmented schedules are unavailable.
+func runSampled(ctx context.Context, name string, r *rig, fork func() (*rig, error), stream trace.Stream, factory func() (trace.Stream, error), opt Options) (Result, error) {
+	var warmables []sample.Warmable
+	if r.tracker != nil {
+		warmables = append(warmables, r.tracker)
+	}
+	scfg := sample.Config{
+		Machine:     r.m,
+		Stream:      stream,
+		Policy:      *opt.Sampling,
+		WarmupRefs:  opt.WarmupRefs,
+		MeasureRefs: opt.MeasureRefs,
+		Progress:    opt.Progress,
+		Warmables:   warmables,
+		Events:      opt.Events,
+	}
+	var segs *segmentOutputs
+	if opt.Sampling.SegmentWindows > 0 {
+		if factory == nil {
+			return Result{}, fmt.Errorf("sim: segment-parallel sampling needs a re-derivable stream (workload-backed runs, or Spec.StreamFactory for explicit streams)")
+		}
+		segs = &segmentOutputs{byID: make(map[int]outputs)}
+		scfg.SegmentStream = segmentStream(factory, opt)
+		scfg.NewInstance = segs.newInstance(fork)
+	}
+	if opt.Sampling.Schedule == sample.SchedulePhase {
+		// The phase schedule re-derives the stream for its profiling
+		// pass (signature extraction), then measures on the primary.
+		if factory == nil {
+			return Result{}, fmt.Errorf("sim: phase-aware sampling needs a re-derivable stream (workload-backed runs, or Spec.StreamFactory for explicit streams)")
+		}
+		scfg.SegmentStream = segmentStream(factory, opt)
+	}
+	out, err := sample.Run(ctx, scfg)
+	if err != nil {
+		return Result{}, err
+	}
+	res := Result{
+		Bench:     name,
+		CPU:       out.CPU,
+		Hier:      out.Hier,
+		TotalRefs: out.TotalRefs,
+		Estimate:  &out.Estimate,
+	}
+	if segs != nil {
+		// Segment-parallel run: the prototype's mechanisms never executed;
+		// pool each segment's outputs in fixed segment order.
+		segs.report(&res)
+	} else {
+		r.outputs().report(&res)
+	}
 	return res, nil
 }
 

@@ -84,10 +84,11 @@ type SamplingPolicy struct {
 type RunRequest struct {
 	Bench string `json:"bench"`
 	// Engine selects the execution engine: "auto" (or empty), "fast", or
-	// "reference". The engines are proven result-identical, so the choice
-	// does not change the result-cache key; "fast" is rejected
-	// (bad_request) when the request needs instrumentation only the
-	// reference loop carries (sampling, event capture, audit).
+	// "reference". The engines are proven result-identical, exact and
+	// sampled runs alike, so the choice does not change the result-cache
+	// key; "fast" is rejected (bad_request) when the request needs
+	// instrumentation only the reference loop carries (event capture,
+	// audit).
 	Engine         string `json:"engine,omitempty"`
 	Victim         string `json:"victim,omitempty"`
 	VictimEntries  int    `json:"victim_entries,omitempty"`
