@@ -1,7 +1,7 @@
 // Command tkgold maintains the golden-stats regression corpus under
 // testdata/golden: one entry per synthetic benchmark under the paper's
 // baseline configuration, plus the reduced-scale set the benchmark smoke
-// verifies.
+// verifies, the phase-sampled estimates and the mechanism results.
 //
 // Default mode (also spelled -verify) recomputes every entry and reports
 // drift against the stored corpus — every drifted entry with every
@@ -123,6 +123,16 @@ func run(args []string, out, errOut io.Writer) int {
 		} else if !*update {
 			fmt.Fprintln(out, "ok    phase_sampled")
 		}
+		if err := mechCorpus(*update, *dir, out); err != nil {
+			if *update {
+				fmt.Fprintln(errOut, "tkgold:", err)
+				return 1
+			}
+			fmt.Fprintf(out, "DRIFT mechanisms: %v\n", err)
+			drifted = append(drifted, "mechanisms")
+		} else if !*update {
+			fmt.Fprintln(out, "ok    mechanisms")
+		}
 	}
 
 	if len(drifted) > 0 {
@@ -212,6 +222,41 @@ func phaseCorpus(update bool, dir string, out io.Writer) error {
 	for i, e := range entries {
 		if d := golden.PhaseDiff(e, want[i]); d != "" {
 			return fmt.Errorf("%s: %s", e.Bench, d)
+		}
+	}
+	return nil
+}
+
+// mechCorpus maintains mechanisms.json: the full result of every
+// mechanism configuration on the representative subset, pinning the
+// prefetchers and the victim cache that the base-configuration entries
+// never attach.
+func mechCorpus(update bool, dir string, out io.Writer) error {
+	var entries []golden.MechEntry
+	for _, p := range golden.MechPoints() {
+		e, err := golden.ComputeMech(p)
+		if err != nil {
+			return err
+		}
+		entries = append(entries, e)
+	}
+	if update {
+		if err := golden.SaveMech(entries); err != nil {
+			return err
+		}
+		fmt.Fprintf(out, "wrote %s\n", golden.MechPath())
+		return nil
+	}
+	want, err := golden.LoadMechFrom(dir)
+	if err != nil {
+		return fmt.Errorf("%w (run with -update to create the corpus)", err)
+	}
+	if len(want) != len(entries) {
+		return fmt.Errorf("stored %d entries, computed %d", len(want), len(entries))
+	}
+	for i, e := range entries {
+		if d := golden.MechDiff(e, want[i]); d != "" {
+			return fmt.Errorf("%s/%s: %s", e.Bench, e.Config, d)
 		}
 	}
 	return nil

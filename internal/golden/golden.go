@@ -207,7 +207,11 @@ func SaveBench(es []Entry) error {
 // Diff compares a freshly computed entry against a stored one in
 // canonical form and returns a description of the drift, or "" when they
 // match.
-func Diff(got, want Entry) string {
+func Diff(got, want Entry) string { return canonicalDiff(got, want) }
+
+// canonicalDiff compares two corpus records in canonical form and returns
+// a description of the drift, or "" when they match.
+func canonicalDiff(got, want any) string {
 	gb, err := Marshal(got)
 	if err != nil {
 		return fmt.Sprintf("marshal: %v", err)

@@ -111,17 +111,4 @@ func SavePhase(es []PhaseEntry) error {
 
 // PhaseDiff compares a freshly computed phase entry against a stored one
 // in canonical form; "" means byte-identical.
-func PhaseDiff(got, want PhaseEntry) string {
-	gb, err := Marshal(got)
-	if err != nil {
-		return fmt.Sprintf("marshal: %v", err)
-	}
-	wb, err := Marshal(want)
-	if err != nil {
-		return fmt.Sprintf("marshal: %v", err)
-	}
-	if string(gb) == string(wb) {
-		return ""
-	}
-	return describeDrift(gb, wb)
-}
+func PhaseDiff(got, want PhaseEntry) string { return canonicalDiff(got, want) }
