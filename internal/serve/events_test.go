@@ -7,6 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -43,13 +44,18 @@ func TestEventsEndpoint(t *testing.T) {
 		t.Fatal("trace has no events")
 	}
 
-	// JSONL: one object per line, containing the run spans.
+	// JSONL: one object per line, containing the run spans. TK_AUDIT
+	// audits every run, and an audited run's top span is audited-run.
 	buf.Reset()
 	if err := cl.JobEvents(context.Background(), j.ID, "jsonl", &buf); err != nil {
 		t.Fatalf("download jsonl: %v", err)
 	}
-	if !strings.Contains(buf.String(), `"span":"run"`) {
-		t.Fatalf("jsonl lacks the run span:\n%.300s", buf.String())
+	runSpan := `"span":"run"`
+	if os.Getenv("TK_AUDIT") != "" {
+		runSpan = `"span":"audited-run"`
+	}
+	if !strings.Contains(buf.String(), runSpan) {
+		t.Fatalf("jsonl lacks the %s span:\n%.300s", runSpan, buf.String())
 	}
 
 	// Unknown format: structured bad_request.

@@ -35,7 +35,7 @@ func engineGateOptions(i int) sim.Options {
 	opt.MeasureRefs = 40_000
 	opt.Track = true
 	opt.DecayIntervals = []uint64{1 << 12, 1 << 15}
-	switch i % 4 {
+	switch i % 5 {
 	case 1:
 		opt.VictimFilter = sim.VictimDecay
 	case 2:
@@ -43,10 +43,13 @@ func engineGateOptions(i int) sim.Options {
 	case 3:
 		opt.Prefetcher = sim.PrefetchNextLine
 		opt.VictimFilter = sim.VictimCollins
+	case 4:
+		opt.Prefetcher = sim.PrefetchDBCP
 	}
 	// A few set-associative L1 points so the gate is not all
-	// direct-mapped, and a few limit-study points.
-	if i%5 == 4 {
+	// direct-mapped (every mechanism gets at least one, DBCP at i=14),
+	// and a few limit-study points.
+	if i%3 == 2 {
 		opt.Hier.L1.Ways = 2
 	}
 	if i%7 == 5 {

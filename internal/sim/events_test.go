@@ -50,7 +50,12 @@ func TestEventsEndToEnd(t *testing.T) {
 			t.Fatalf("span %q left open", sp.Name)
 		}
 	}
-	for _, want := range []string{"run", "warmup", "measure"} {
+	// An audited run (TK_AUDIT) names its top span audited-run.
+	runSpan := "run"
+	if res.Audit != nil {
+		runSpan = "audited-run"
+	}
+	for _, want := range []string{runSpan, "warmup", "measure"} {
 		if !spans[want] {
 			t.Fatalf("missing %q span (have %v)", want, spans)
 		}
