@@ -91,17 +91,14 @@ func clearBit(words []uint64, i int)    { words[i>>6] &^= 1 << (uint(i) & 63) }
 // Config implements prefetch.L1View.
 func (c *soaCache) Config() cache.Config { return c.cfg }
 
-// NumFrames implements prefetch.L1View.
+// NumFrames is the total frame count (sets x ways).
 func (c *soaCache) NumFrames() int { return len(c.tags) }
 
-// Set implements prefetch.L1View.
+// Set extracts the set index from a byte address.
 func (c *soaCache) Set(addr uint64) uint64 { return (addr >> c.blockShift) & c.setMask }
 
-// Tag implements prefetch.L1View.
+// Tag extracts the tag from a byte address.
 func (c *soaCache) Tag(addr uint64) uint64 { return addr >> c.blockShift >> c.setBits }
-
-// FrameOf implements prefetch.L1View.
-func (c *soaCache) FrameOf(set uint64, way int) int { return int(set)*c.ways + way }
 
 // FrameAddr implements prefetch.L1View.
 func (c *soaCache) FrameAddr(frame int) (addr uint64, valid bool) {

@@ -99,8 +99,7 @@ type retireRec struct {
 
 // pendingFill is a prefetch whose data is still in flight.
 type pendingFill struct {
-	id       uint64
-	block    uint64
+	req      hier.PrefetchRequest
 	arriveAt uint64
 }
 
@@ -234,7 +233,9 @@ func New(cfg Config) *Engine {
 // Attachments are deliberately dropped, as hier's Clone drops them: the
 // clone starts with no victim cache, tracker, decay evaluation or
 // prefetcher, and callers attach fresh instances (or clones) of their
-// own. The progress handle is shared — obs.Progress is atomic.
+// own; as with hier, a fresh prefetcher belongs on a clone with no
+// prefetch fills in flight, since only the issuer resolves their slots.
+// The progress handle is shared — obs.Progress is atomic.
 func (e *Engine) Clone() *Engine {
 	d := *e
 	d.ring = append([]retireRec(nil), e.ring...)
@@ -879,14 +880,14 @@ func (e *Engine) due(now uint64, max int) []hier.PrefetchRequest {
 }
 
 // filled dispatches the prefetcher's Filled via the devirtualized enum.
-func (e *Engine) filled(id, at uint64, frame int, v cache.Victim) {
+func (e *Engine) filled(req hier.PrefetchRequest, at uint64, frame int, v cache.Victim) {
 	switch e.pf {
 	case pfTK:
-		e.tk.Filled(id, at, frame, v)
+		e.tk.Filled(req, at, frame, v)
 	case pfDBCP:
-		e.dbcp.Filled(id, at, frame, v)
+		e.dbcp.Filled(req, at, frame, v)
 	case pfNL:
-		e.nl.Filled(id, at, frame, v)
+		e.nl.Filled(req, at, frame, v)
 	}
 }
 
@@ -925,14 +926,14 @@ func (e *Engine) issuePrefetches(now uint64) {
 			done = e.mem.Access(memBusDone)
 		}
 		e.prefetchMSHR.commit(req.Block, done)
-		e.pending = append(e.pending, pendingFill{id: req.ID, block: req.Block, arriveAt: done})
+		e.pending = append(e.pending, pendingFill{req: req, arriveAt: done})
 	}
 }
 
 // findPending returns the index of the in-flight prefetch for block, or -1.
 func (e *Engine) findPending(block uint64) int {
 	for i := range e.pending {
-		if e.pending[i].block == block {
+		if e.pending[i].req.Block == block {
 			return i
 		}
 	}
@@ -955,7 +956,7 @@ func (e *Engine) completePending(i int) {
 	p := e.pending[i]
 	e.pending = append(e.pending[:i], e.pending[i+1:]...)
 
-	hit, frame, resVictim := e.l1.fill(p.block)
+	hit, frame, resVictim := e.l1.fill(p.req.Block)
 	if !hit && resVictim.Valid {
 		fc := &e.fctr[frame]
 		var dead uint64
@@ -967,7 +968,7 @@ func (e *Engine) completePending(i int) {
 				Now:      p.arriveAt,
 				Victim:   resVictim,
 				Frame:    frame,
-				Incoming: p.block,
+				Incoming: p.req.Block,
 				DeadTime: dead,
 				ZeroLive: fc.hits == 0,
 				Prefetch: true,
@@ -986,6 +987,6 @@ func (e *Engine) completePending(i int) {
 		if !hit {
 			v = resVictim
 		}
-		e.filled(p.id, p.arriveAt, frame, v)
+		e.filled(p.req, p.arriveAt, frame, v)
 	}
 }

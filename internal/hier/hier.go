@@ -157,8 +157,13 @@ type VictimBuffer interface {
 
 // PrefetchRequest asks the hierarchy to fetch an L1 block into the L1.
 type PrefetchRequest struct {
+	// ID names the request in events (PrefetchIssue, PrefetchFill).
 	ID    uint64
 	Block uint64
+	// Slot is the prefetcher's handle on the request's bookkeeping. The
+	// hierarchy never interprets it; it only keeps it with the pending
+	// fill and hands it back to Filled.
+	Slot int
 }
 
 // Prefetcher is the Section 5.2 attachment. It observes accesses (to
@@ -166,11 +171,13 @@ type PrefetchRequest struct {
 // which issues them as prefetch MSHRs and bus slots allow.
 type Prefetcher interface {
 	Observer
-	// Due pops up to max requests that are ready to issue at `now`.
+	// Due pops up to max requests that are ready to issue at `now`. The
+	// slice is the prefetcher's reused buffer: it is valid only until
+	// the next call, so the caller consumes it at once.
 	Due(now uint64, max int) []PrefetchRequest
-	// Filled reports a prefetch arriving in L1 frame `frame` at `at`,
-	// displacing victim.
-	Filled(id uint64, at uint64, frame int, victim cache.Victim)
+	// Filled reports the prefetch req, returned as Due issued it (Slot
+	// included), arriving in L1 frame `frame` at `at`, displacing victim.
+	Filled(req PrefetchRequest, at uint64, frame int, victim cache.Victim)
 }
 
 // L2Op describes one L2 array operation, reported to the auditor so it can
@@ -218,8 +225,7 @@ type frameState struct {
 
 // pendingFill is a prefetch whose data is still in flight.
 type pendingFill struct {
-	id       uint64
-	block    uint64
+	req      PrefetchRequest
 	arriveAt uint64
 }
 
@@ -343,7 +349,10 @@ func (h *Hierarchy) Config() Config { return h.cfg }
 // victim buffer, prefetcher, observers, auditor, or event sink. Callers
 // that need them (segment-parallel sampling) construct and attach fresh
 // instances per clone; sharing the original's attachments would alias
-// their internal state across instances.
+// their internal state across instances. In-flight fills carry their
+// requests' slots, which only the issuing prefetcher can resolve, so a
+// fresh prefetcher belongs on a clone of a hierarchy with none in flight
+// (segment forks clone a cold prototype).
 func (h *Hierarchy) Clone() *Hierarchy {
 	d := &Hierarchy{
 		cfg:        h.cfg,
@@ -802,14 +811,14 @@ func (h *Hierarchy) issuePrefetches(now uint64) {
 		if h.events != nil {
 			h.events.Emit(events.Event{Kind: events.PrefetchIssue, Cycle: now, Block: req.Block, Frame: -1, A: done, B: req.ID})
 		}
-		h.pending = append(h.pending, pendingFill{id: req.ID, block: req.Block, arriveAt: done})
+		h.pending = append(h.pending, pendingFill{req: req, arriveAt: done})
 	}
 }
 
 // findPending returns the index of the in-flight prefetch for block, or -1.
 func (h *Hierarchy) findPending(block uint64) int {
 	for i := range h.pending {
-		if h.pending[i].block == block {
+		if h.pending[i].req.Block == block {
 			return i
 		}
 	}
@@ -833,16 +842,16 @@ func (h *Hierarchy) completePending(i int) {
 	p := h.pending[i]
 	h.pending = append(h.pending[:i], h.pending[i+1:]...)
 
-	res := h.l1.Fill(p.block)
+	res := h.l1.Fill(p.req.Block)
 	if h.audit != nil {
-		h.audit.AuditPrefetchFill(p.arriveAt, p.block, !res.Hit, res.Victim)
+		h.audit.AuditPrefetchFill(p.arriveAt, p.req.Block, !res.Hit, res.Victim)
 	}
 	if h.events != nil {
 		installed := uint64(0)
 		if !res.Hit {
 			installed = 1
 		}
-		h.events.Emit(events.Event{Kind: events.PrefetchFill, Cycle: p.arriveAt, Block: p.block, Frame: int32(res.Frame), A: installed, B: p.id})
+		h.events.Emit(events.Event{Kind: events.PrefetchFill, Cycle: p.arriveAt, Block: p.req.Block, Frame: int32(res.Frame), A: installed, B: p.req.ID})
 	}
 	if !res.Hit && res.Victim.Valid {
 		fs := &h.frames[res.Frame]
@@ -854,7 +863,7 @@ func (h *Hierarchy) completePending(i int) {
 			Now:      p.arriveAt,
 			Victim:   res.Victim,
 			Frame:    res.Frame,
-			Incoming: p.block,
+			Incoming: p.req.Block,
 			DeadTime: dead,
 			ZeroLive: fs.hits == 0,
 			Prefetch: true,
@@ -878,6 +887,6 @@ func (h *Hierarchy) completePending(i int) {
 		if !res.Hit {
 			v = res.Victim
 		}
-		h.prefetcher.Filled(p.id, p.arriveAt, res.Frame, v)
+		h.prefetcher.Filled(p.req, p.arriveAt, res.Frame, v)
 	}
 }

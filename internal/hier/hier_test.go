@@ -212,7 +212,8 @@ func TestEvictionDeadTimeAndZeroLive(t *testing.T) {
 // polled, then records fills.
 type scriptedPrefetcher struct {
 	reqs   []PrefetchRequest
-	fills  []uint64 // arrival times
+	fills  []uint64          // arrival times
+	filled []PrefetchRequest // the requests handed back to Filled
 	events int
 }
 
@@ -229,13 +230,15 @@ func (p *scriptedPrefetcher) Due(now uint64, max int) []PrefetchRequest {
 	p.reqs = p.reqs[n:]
 	return out
 }
-func (p *scriptedPrefetcher) Filled(id uint64, at uint64, frame int, victim cache.Victim) {
+func (p *scriptedPrefetcher) Filled(req PrefetchRequest, at uint64, frame int, victim cache.Victim) {
 	p.fills = append(p.fills, at)
+	p.filled = append(p.filled, req)
 }
 
 func TestPrefetchFillArrivesLater(t *testing.T) {
 	h := New(DefaultConfig())
-	pf := &scriptedPrefetcher{reqs: []PrefetchRequest{{ID: 1, Block: 0x2000}}}
+	req := PrefetchRequest{ID: 1, Block: 0x2000, Slot: 7}
+	pf := &scriptedPrefetcher{reqs: []PrefetchRequest{req}}
 	h.AttachPrefetcher(pf)
 	h.Access(load(0x0), 0) // triggers Due poll; prefetch 0x2000 issues
 	if h.Stats().Prefetches != 1 {
@@ -248,6 +251,10 @@ func TestPrefetchFillArrivesLater(t *testing.T) {
 	}
 	if len(pf.fills) != 1 {
 		t.Fatalf("fills = %d", len(pf.fills))
+	}
+	// The fill hands the request back as issued, opaque slot included.
+	if pf.filled[0] != req {
+		t.Fatalf("Filled got %+v, want %+v", pf.filled[0], req)
 	}
 }
 

@@ -16,25 +16,35 @@ import (
 // correlated next block is prefetched immediately.
 //
 // The paper's DBCP uses a 2 MB correlation table; ours defaults to the
-// same budget (512K entries x 4 bytes). Its large size is what lets it
-// cover mcf-scale footprints that thrash the 8 KB timekeeping table.
+// same modelled budget (512K entries x 4 bytes). Its large size is what
+// lets it cover mcf-scale footprints that thrash the 8 KB timekeeping
+// table. On the host each entry is one 8-byte word (see dbcpWord).
 type DBCP struct {
-	cfg  Config
-	l1   L1View
-	mask uint64
+	cfg   Config
+	split addrSplit
+	mask  uint64
 
-	entries []dbcpEntry
+	entries []uint64 // packed correlation-table entries
 	frames  []dbcpFrame
 	eng     *engine
 }
 
-// dbcpEntry is one correlation-table slot: a saturating dead-confidence
-// counter and the block observed to follow the signature's death.
-type dbcpEntry struct {
-	conf    uint8 // 2-bit saturating confidence that this signature means death
-	nextTag uint32
-	nextSet uint32
-	valid   bool
+// A correlation-table entry packs into one word. From the low bit up: a
+// 2-bit saturating confidence that the signature means death, a valid
+// bit, and the L1 set and 32-bit tag of the block observed to follow the
+// signature's death. The set field bounds the L1 at dbcpMaxSetBits.
+const (
+	dbcpConfMask   = 3
+	dbcpValid      = 1 << 2
+	dbcpSetShift   = 3
+	dbcpTagShift   = 32
+	dbcpMaxSetBits = dbcpTagShift - dbcpSetShift
+)
+
+// dbcpWord returns the valid, zero-confidence entry predicting the block
+// at (tag, set); only the tag's low 32 bits are kept.
+func dbcpWord(tag, set uint64) uint64 {
+	return uint64(uint32(tag))<<dbcpTagShift | set<<dbcpSetShift | dbcpValid
 }
 
 // dbcpFrame is the per-frame trace state.
@@ -43,10 +53,12 @@ type dbcpFrame struct {
 	active bool
 }
 
-// DBCPEntries is the paper's 2 MB table at 4 bytes per entry.
+// DBCPEntries is the paper's 2 MB table at 4 bytes per modelled entry.
 const DBCPEntries = 1 << 19
 
-// NewDBCP builds a DBCP with the given entry count (a power of two).
+// NewDBCP builds a DBCP with the given entry count (a power of two). It
+// panics on an L1 with more than dbcpMaxSetBits set bits, which a packed
+// entry cannot name.
 func NewDBCP(cfg Config, entries int, l1 L1View) *DBCP {
 	if entries < 2 || entries&(entries-1) != 0 {
 		panic(fmt.Sprintf("prefetch: DBCP entries %d must be a power of two >= 2", entries))
@@ -54,18 +66,22 @@ func NewDBCP(cfg Config, entries int, l1 L1View) *DBCP {
 	if cfg.QueueEntries < 1 {
 		panic("prefetch: queue must have >= 1 entry")
 	}
+	split := newAddrSplit(l1.Config())
+	if split.setBits > dbcpMaxSetBits {
+		panic(fmt.Sprintf("prefetch: DBCP supports at most %d L1 set bits, got %d", dbcpMaxSetBits, split.setBits))
+	}
 	return &DBCP{
 		cfg:     cfg,
-		l1:      l1,
+		split:   split,
 		mask:    uint64(entries - 1),
-		entries: make([]dbcpEntry, entries),
-		frames:  make([]dbcpFrame, l1.NumFrames()),
-		eng:     newEngine(l1.NumFrames(), cfg.QueueEntries),
+		entries: make([]uint64, entries),
+		frames:  make([]dbcpFrame, split.frames),
+		eng:     newEngine(split.frames, cfg.QueueEntries),
 	}
 }
 
-// SizeBytes reports the table budget (4 bytes per entry, as in the paper's
-// 2 MB configuration).
+// SizeBytes reports the modelled table budget: 4 bytes per entry, as in
+// the paper's 2 MB configuration (the host spends 8 per entry).
 func (p *DBCP) SizeBytes() int { return len(p.entries) * 4 }
 
 // sigInit seeds a signature from the block identity.
@@ -87,7 +103,7 @@ func (p *DBCP) OnAccess(ev *hier.AccessEvent) {
 	if ev.Hit {
 		// A demand touch of a prefetched block finalises its record as
 		// timely-correct.
-		p.eng.onFrameHit(ev.Frame, ev.Block, ev.Now)
+		p.eng.onFrameHit(ev.Frame, ev.Block)
 		if !f.active {
 			return
 		}
@@ -101,17 +117,16 @@ func (p *DBCP) OnAccess(ev *hier.AccessEvent) {
 
 	// Miss: the departing block died with signature f.sig. Train the
 	// table: this signature means death, followed by the incoming block.
-	p.eng.onFrameMiss(ev.Frame, ev.Block, ev.Now)
+	p.eng.onFrameMiss(ev.Frame, ev.Block)
 	if f.active && ev.Victim.Valid {
 		e := &p.entries[f.sig&p.mask]
-		set := uint32(p.l1.Set(ev.Addr))
-		tag := uint32(p.l1.Tag(ev.Addr))
-		if e.valid && e.nextTag == tag && e.nextSet == set {
-			if e.conf < 3 {
-				e.conf++
+		next := dbcpWord(p.split.tag(ev.Addr), p.split.set(ev.Addr))
+		if *e&^dbcpConfMask == next {
+			if *e&dbcpConfMask < 3 {
+				*e++
 			}
 		} else {
-			*e = dbcpEntry{conf: 1, nextTag: tag, nextSet: set, valid: true}
+			*e = next | 1
 		}
 	}
 	f.sig = sigStep(sigInit(ev.Block), ev.PC)
@@ -122,60 +137,35 @@ func (p *DBCP) OnAccess(ev *hier.AccessEvent) {
 // decay weakens the confidence of a signature that proved non-final.
 func (p *DBCP) decay(sig uint64) {
 	e := &p.entries[sig&p.mask]
-	if e.valid && e.conf > 0 {
-		e.conf--
+	if *e&dbcpValid != 0 && *e&dbcpConfMask > 0 {
+		*e--
 	}
 }
 
 // maybePrefetch predicts death at the current signature and, if confident,
 // schedules an immediate prefetch of the correlated next block.
 func (p *DBCP) maybePrefetch(ev *hier.AccessEvent, f *dbcpFrame) {
-	e := &p.entries[f.sig&p.mask]
-	if !e.valid || e.conf < 2 {
+	e := p.entries[f.sig&p.mask]
+	if e&dbcpValid == 0 || e&dbcpConfMask < 2 {
 		return
 	}
-	target := p.blockOf(uint64(e.nextTag), uint64(e.nextSet))
+	target := p.split.blockOf(e>>dbcpTagShift, uint64(uint32(e))>>dbcpSetShift)
 	if target == ev.Block {
 		return
 	}
 	p.eng.schedule(ev.Frame, target, ev.Block, p.cfg.tickUp(ev.Now))
 }
 
-// blockOf reconstructs a block address from (tag, set).
-func (p *DBCP) blockOf(tag, set uint64) uint64 {
-	sets := p.l1.Config().Sets()
-	setBits := uint(0)
-	for s := sets; s > 1; s >>= 1 {
-		setBits++
-	}
-	blockShift := uint(0)
-	for b := p.l1.Config().BlockBytes; b > 1; b >>= 1 {
-		blockShift++
-	}
-	return (tag<<setBits | set) << blockShift
-}
-
 // Due implements hier.Prefetcher.
-func (p *DBCP) Due(now uint64, max int) []hier.PrefetchRequest {
-	reqs := p.eng.due(now, max)
-	if len(reqs) == 0 {
-		return nil
-	}
-	out := make([]hier.PrefetchRequest, len(reqs))
-	for i, r := range reqs {
-		out[i] = hier.PrefetchRequest{ID: r.seq, Block: r.block}
-	}
-	return out
-}
+func (p *DBCP) Due(now uint64, max int) []hier.PrefetchRequest { return p.eng.due(now, max) }
 
 // Filled implements hier.Prefetcher.
-func (p *DBCP) Filled(id uint64, at uint64, frame int, victim cache.Victim) {
-	p.eng.filled(id, at)
+func (p *DBCP) Filled(req hier.PrefetchRequest, at uint64, frame int, victim cache.Victim) {
 	// A prefetched block that is then demanded looks like a hit; start a
 	// fresh signature for it so training continues.
-	if r, ok := p.eng.bySeq[id]; ok {
+	if p.eng.filled(req) {
 		f := &p.frames[frame]
-		f.sig = sigInit(r.block)
+		f.sig = sigInit(req.Block)
 		f.active = true
 	}
 }

@@ -9,10 +9,14 @@
 // drops its oldest entry when full, and the timeliness bookkeeping that
 // reproduces Figure 21's classification — early / discarded / timely /
 // started-but-not-timely / not-started, split by address-prediction
-// correctness.
+// correctness. All of its state is sized at construction or during
+// warm-up, so steady-state simulation allocates nothing.
 package prefetch
 
-import "timekeeping/internal/stats"
+import (
+	"timekeeping/internal/hier"
+	"timekeeping/internal/stats"
+)
 
 // TimelinessClass labels a finished prefetch the way Figure 21 does.
 type TimelinessClass uint8
@@ -103,34 +107,48 @@ func (t *Timeliness) Frac(correct bool, c TimelinessClass) float64 {
 type recState uint8
 
 const (
-	stScheduled recState = iota // countdown running
+	stDone      recState = iota // classified, superseded, or never armed
+	stScheduled                 // countdown running
 	stQueued                    // in the request queue
 	stIssued                    // sent to L2/memory
 	stArrived                   // data installed in L1
 	stDiscarded                 // dropped from the queue
-	stDone                      // classified
 )
 
-// record tracks one prediction from schedule to classification.
+// record tracks one prediction from schedule to classification. A frame
+// has one prefetch_counter, so it holds at most one live record: records
+// live by value, one slot per frame, and seq tells the slot's current
+// record from the one it replaced.
 type record struct {
 	seq       uint64
-	frame     int
 	block     uint64 // predicted prefetch target (block address)
 	displaced uint64 // block resident when the prediction was made
 	state     recState
-	fireAt    uint64
-	arriveAt  uint64
+}
+
+// ref names one record by its frame slot and sequence number. Timers,
+// queue entries and issued requests hold refs; a ref whose slot now holds
+// a different seq is stale — its record was superseded.
+type ref struct {
+	seq   uint64
+	frame int
+}
+
+// timer is an armed countdown: the record it fires and when.
+type timer struct {
+	fireAt uint64
+	ref
 }
 
 // engine owns records, the countdown timers and the request queue.
 type engine struct {
-	queueCap int
-
 	timers  timerHeap
-	queue   []*record // ready queue, oldest first
-	byFrame []*record // active record per frame (one prefetch_counter each)
-	bySeq   map[uint64]*record
+	queue   []ref // request-queue ring, oldest entry at qHead
+	qHead   int
+	qLen    int
+	byFrame []record // the record per frame (one prefetch_counter each)
 	nextSeq uint64
+	out     []hier.PrefetchRequest // due's result, reused across calls
 
 	// earlyCheck defers address-correctness for early prefetches to the
 	// following miss in the frame (the displaced block's reload is not
@@ -150,11 +168,11 @@ type earlyPending struct {
 	displace uint64 // the block whose reload triggered "early"
 }
 
-// timerHeap is a binary min-heap of records ordered by fireAt.
-type timerHeap []*record
+// timerHeap is a binary min-heap of timers ordered by fireAt.
+type timerHeap []timer
 
-func (h *timerHeap) push(r *record) {
-	*h = append(*h, r)
+func (h *timerHeap) push(t timer) {
+	*h = append(*h, t)
 	i := len(*h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
@@ -166,12 +184,11 @@ func (h *timerHeap) push(r *record) {
 	}
 }
 
-func (h *timerHeap) pop() *record {
+func (h *timerHeap) pop() timer {
 	old := *h
-	r := old[0]
+	t := old[0]
 	n := len(old) - 1
 	old[0] = old[n]
-	old[n] = nil
 	*h = old[:n]
 	i := 0
 	for {
@@ -189,92 +206,90 @@ func (h *timerHeap) pop() *record {
 		(*h)[i], (*h)[small] = (*h)[small], (*h)[i]
 		i = small
 	}
-	return r
+	return t
 }
 
 func newEngine(frames, queueCap int) *engine {
 	return &engine{
-		queueCap:   queueCap,
-		byFrame:    make([]*record, frames),
-		bySeq:      make(map[uint64]*record),
+		queue:      make([]ref, queueCap),
+		byFrame:    make([]record, frames),
 		earlyCheck: make([]earlyPending, frames),
 	}
 }
 
-// schedule arms frame's prefetch counter: fetch `block` at fireAt. Any
-// previous un-issued prediction for the frame is superseded.
+// state returns r's record state; a stale ref reads as done.
+func (e *engine) state(r ref) recState {
+	if rec := &e.byFrame[r.frame]; rec.seq == r.seq {
+		return rec.state
+	}
+	return stDone
+}
+
+// schedule arms frame's prefetch counter: fetch `block` at fireAt. A new
+// miss re-arms the frame's single counter, so any previous prediction for
+// the frame is abandoned without classification (it no longer
+// corresponds to a generation boundary we can check): overwriting the
+// slot leaves its timer and queue entries stale.
 func (e *engine) schedule(frame int, block, displaced, fireAt uint64) {
-	if old := e.byFrame[frame]; old != nil && old.state != stDone {
-		// A new miss re-arms the frame's single counter; the old
-		// prediction is abandoned without classification (it no longer
-		// corresponds to a generation boundary we can check).
-		old.state = stDone
-		delete(e.bySeq, old.seq)
-	}
 	e.nextSeq++
-	r := &record{
-		seq:       e.nextSeq,
-		frame:     frame,
-		block:     block,
-		displaced: displaced,
-		state:     stScheduled,
-		fireAt:    fireAt,
-	}
-	e.byFrame[frame] = r
-	e.bySeq[r.seq] = r
-	e.timers.push(r)
+	e.byFrame[frame] = record{seq: e.nextSeq, block: block, displaced: displaced, state: stScheduled}
+	e.timers.push(timer{fireAt: fireAt, ref: ref{seq: e.nextSeq, frame: frame}})
 	e.scheduled++
 }
 
-// due moves expired timers into the queue (dropping the oldest entries
-// beyond capacity) and pops up to max ready requests.
-func (e *engine) due(now uint64, max int) []issueReq {
+// due moves expired timers into the queue (dropping the oldest entry when
+// it is full) and pops up to max ready requests. The result is e.out,
+// valid until the next call.
+func (e *engine) due(now uint64, max int) []hier.PrefetchRequest {
 	for len(e.timers) > 0 && e.timers[0].fireAt <= now {
-		r := e.timers.pop()
-		if r.state != stScheduled { // superseded or already finished
+		t := e.timers.pop()
+		if e.state(t.ref) != stScheduled { // superseded or already finished
 			continue
 		}
-		r.state = stQueued
-		e.queue = append(e.queue, r)
-		if len(e.queue) > e.queueCap {
-			dropped := e.queue[0]
-			e.queue = e.queue[1:]
-			if dropped.state == stQueued {
-				dropped.state = stDiscarded
+		e.byFrame[t.frame].state = stQueued
+		if e.qLen == len(e.queue) {
+			if old := e.queue[e.qHead]; e.state(old) == stQueued {
+				e.byFrame[old.frame].state = stDiscarded
 			}
+			e.qHead = (e.qHead + 1) % len(e.queue)
+			e.qLen--
 		}
+		e.queue[(e.qHead+e.qLen)%len(e.queue)] = t.ref
+		e.qLen++
 	}
-	var out []issueReq
-	for len(e.queue) > 0 && len(out) < max {
-		r := e.queue[0]
-		e.queue = e.queue[1:]
-		if r.state != stQueued {
+	e.out = e.out[:0]
+	for e.qLen > 0 && len(e.out) < max {
+		r := e.queue[e.qHead]
+		e.qHead = (e.qHead + 1) % len(e.queue)
+		e.qLen--
+		if e.state(r) != stQueued {
 			continue
 		}
-		r.state = stIssued
+		rec := &e.byFrame[r.frame]
+		rec.state = stIssued
 		e.issued++
-		out = append(out, issueReq{seq: r.seq, block: r.block})
+		e.out = append(e.out, hier.PrefetchRequest{ID: r.seq, Block: rec.block, Slot: r.frame})
 	}
-	return out
+	return e.out
 }
 
-// issueReq pairs a record id with its prefetch target.
-type issueReq struct {
-	seq   uint64
-	block uint64
-}
-
-// filled records a prefetch arrival.
-func (e *engine) filled(seq, at uint64) {
-	if r, ok := e.bySeq[seq]; ok && r.state == stIssued {
-		r.state = stArrived
-		r.arriveAt = at
+// filled records the arrival of req, a request due issued. It reports
+// whether req's record is still live — neither classified nor superseded
+// — in which case the fill is the prediction's own.
+func (e *engine) filled(req hier.PrefetchRequest) bool {
+	switch e.state(ref{seq: req.ID, frame: req.Slot}) {
+	case stDone:
+		return false
+	case stIssued:
+		e.byFrame[req.Slot].state = stArrived
 	}
+	return true
 }
 
-// classify finishes record r given the address of the frame's next demand
-// miss (or hit on the prefetched block, hitOnTarget).
-func (e *engine) classify(r *record, missBlock uint64, hitOnTarget bool, now uint64) {
+// classify finishes frame's live record given the address of the frame's
+// next demand miss (or hit on the prefetched block, hitOnTarget).
+func (e *engine) classify(frame int, missBlock uint64, hitOnTarget bool) {
+	r := &e.byFrame[frame]
 	correct := missBlock == r.block
 	var class TimelinessClass
 	switch {
@@ -284,10 +299,8 @@ func (e *engine) classify(r *record, missBlock uint64, hitOnTarget bool, now uin
 		// The prefetch displaced a block that was still live; defer the
 		// correctness call to the next miss (the displaced block's
 		// reload address says nothing about the prediction).
-		class = Early
-		e.earlyCheck[r.frame] = earlyPending{valid: true, predTag: r.block, displace: r.displaced}
+		e.earlyCheck[frame] = earlyPending{valid: true, predTag: r.block, displace: r.displaced}
 		r.state = stDone
-		delete(e.bySeq, r.seq)
 		return
 	case r.state == stArrived:
 		class = Timely
@@ -300,7 +313,6 @@ func (e *engine) classify(r *record, missBlock uint64, hitOnTarget bool, now uin
 	}
 	e.record(class, correct)
 	r.state = stDone
-	delete(e.bySeq, r.seq)
 }
 
 // record tallies one classified prefetch.
@@ -316,7 +328,7 @@ func (e *engine) record(class TimelinessClass, correct bool) {
 // onFrameMiss must be called for every demand miss on a frame: it
 // finalises the active record and any deferred early check. The caller
 // then schedules the next prediction.
-func (e *engine) onFrameMiss(frame int, missBlock, now uint64) {
+func (e *engine) onFrameMiss(frame int, missBlock uint64) {
 	if ec := &e.earlyCheck[frame]; ec.valid {
 		if missBlock != ec.displace {
 			e.record(Early, missBlock == ec.predTag)
@@ -324,16 +336,16 @@ func (e *engine) onFrameMiss(frame int, missBlock, now uint64) {
 		}
 		// A reload of the displaced block keeps the check pending.
 	}
-	if r := e.byFrame[frame]; r != nil && r.state != stDone {
-		e.classify(r, missBlock, false, now)
+	if e.byFrame[frame].state != stDone {
+		e.classify(frame, missBlock, false)
 	}
 }
 
 // onFrameHit must be called for demand hits on a frame whose resident was
 // prefetched and untouched: it finalises the record as timely-correct.
-func (e *engine) onFrameHit(frame int, block, now uint64) {
-	if r := e.byFrame[frame]; r != nil && r.state != stDone && block == r.block {
-		e.classify(r, block, true, now)
+func (e *engine) onFrameHit(frame int, block uint64) {
+	if r := &e.byFrame[frame]; r.state != stDone && block == r.block {
+		e.classify(frame, block, true)
 	}
 }
 

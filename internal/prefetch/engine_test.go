@@ -1,6 +1,10 @@
 package prefetch
 
-import "testing"
+import (
+	"testing"
+
+	"timekeeping/internal/hier"
+)
 
 func TestTimelinessClassNames(t *testing.T) {
 	want := map[TimelinessClass]string{
@@ -22,7 +26,7 @@ func TestEngineScheduleAndDue(t *testing.T) {
 		t.Fatalf("request fired early: %v", got)
 	}
 	got := e.due(100, 10)
-	if len(got) != 1 || got[0].block != 0x1000 {
+	if len(got) != 1 || got[0] != (hier.PrefetchRequest{ID: 1, Block: 0x1000, Slot: 0}) {
 		t.Fatalf("due = %+v", got)
 	}
 	// Issued requests do not reappear.
@@ -36,7 +40,7 @@ func TestEngineSupersede(t *testing.T) {
 	e.schedule(0, 0x1000, 0x2000, 100)
 	e.schedule(0, 0x3000, 0x2000, 150) // re-arms the frame's counter
 	got := e.due(1000, 10)
-	if len(got) != 1 || got[0].block != 0x3000 {
+	if len(got) != 1 || got[0].Block != 0x3000 {
 		t.Fatalf("due after supersede = %+v", got)
 	}
 }
@@ -78,10 +82,11 @@ func TestEngineMaxLimitsIssue(t *testing.T) {
 func TestClassifyTimelyCorrect(t *testing.T) {
 	e := newEngine(8, 4)
 	e.schedule(0, 0x1000, 0x2000, 10)
-	e.due(10, 10)
-	e.filled(e.nextSeq, 50)
+	if !e.filled(e.due(10, 10)[0]) {
+		t.Fatal("fill of the live record reported stale")
+	}
 	// Hit on the prefetched block: timely + correct.
-	e.onFrameHit(0, 0x1000, 100)
+	e.onFrameHit(0, 0x1000)
 	if e.timeliness.Correct[Timely] != 1 {
 		t.Fatalf("timeliness = %+v", e.timeliness)
 	}
@@ -95,7 +100,7 @@ func TestClassifyNotStarted(t *testing.T) {
 	e.schedule(0, 0x1000, 0x2000, 1000)
 	// Next miss arrives before the timer fires: not started. The miss is
 	// to the predicted block, so the address was right.
-	e.onFrameMiss(0, 0x1000, 500)
+	e.onFrameMiss(0, 0x1000)
 	if e.timeliness.Correct[NotStarted] != 1 {
 		t.Fatalf("timeliness = %+v", e.timeliness)
 	}
@@ -106,7 +111,7 @@ func TestClassifyLate(t *testing.T) {
 	e.schedule(0, 0x1000, 0x2000, 10)
 	e.due(10, 10) // issued
 	// Miss before arrival: started but not timely; wrong address.
-	e.onFrameMiss(0, 0x5000, 100)
+	e.onFrameMiss(0, 0x5000)
 	if e.timeliness.Wrong[Late] != 1 {
 		t.Fatalf("timeliness = %+v", e.timeliness)
 	}
@@ -117,7 +122,7 @@ func TestClassifyDiscarded(t *testing.T) {
 	e.schedule(0, 0x1000, 0x9000, 10)
 	e.schedule(1, 0x2000, 0x9000, 10)
 	e.due(10, 0) // both queued; queue cap 1 discards the first
-	e.onFrameMiss(0, 0x1000, 100)
+	e.onFrameMiss(0, 0x1000)
 	if e.timeliness.Correct[Discarded] != 1 {
 		t.Fatalf("timeliness = %+v", e.timeliness)
 	}
@@ -126,15 +131,14 @@ func TestClassifyDiscarded(t *testing.T) {
 func TestClassifyEarlyWithDeferredCorrectness(t *testing.T) {
 	e := newEngine(8, 4)
 	e.schedule(0, 0x1000, 0x2000, 10) // predict 0x1000 after 0x2000 dies
-	e.due(10, 10)
-	e.filled(e.nextSeq, 20)
+	e.filled(e.due(10, 10)[0])
 	// The displaced block 0x2000 is re-referenced: the prefetch was early.
-	e.onFrameMiss(0, 0x2000, 50)
+	e.onFrameMiss(0, 0x2000)
 	if e.timeliness.CorrectTotal()+e.timeliness.WrongTotal() != 0 {
 		t.Fatal("early classification should defer correctness")
 	}
 	// The following miss is to the predicted block: early but correct.
-	e.onFrameMiss(0, 0x1000, 500)
+	e.onFrameMiss(0, 0x1000)
 	if e.timeliness.Correct[Early] != 1 {
 		t.Fatalf("timeliness = %+v", e.timeliness)
 	}
@@ -143,10 +147,9 @@ func TestClassifyEarlyWithDeferredCorrectness(t *testing.T) {
 func TestClassifyEarlyWrong(t *testing.T) {
 	e := newEngine(8, 4)
 	e.schedule(0, 0x1000, 0x2000, 10)
-	e.due(10, 10)
-	e.filled(e.nextSeq, 20)
-	e.onFrameMiss(0, 0x2000, 50)  // early (displaced reload)
-	e.onFrameMiss(0, 0x7000, 500) // true next generation: wrong address
+	e.filled(e.due(10, 10)[0])
+	e.onFrameMiss(0, 0x2000) // early (displaced reload)
+	e.onFrameMiss(0, 0x7000) // true next generation: wrong address
 	if e.timeliness.Wrong[Early] != 1 {
 		t.Fatalf("timeliness = %+v", e.timeliness)
 	}
@@ -171,7 +174,7 @@ func TestEngineResetStats(t *testing.T) {
 	e := newEngine(8, 4)
 	e.schedule(0, 0x1000, 0x2000, 10)
 	e.due(10, 10)
-	e.onFrameMiss(0, 0x1000, 100)
+	e.onFrameMiss(0, 0x1000)
 	e.resetStats()
 	if e.timeliness.CorrectTotal() != 0 || e.issued != 0 || e.scheduled != 0 {
 		t.Fatal("reset incomplete")
@@ -181,7 +184,7 @@ func TestEngineResetStats(t *testing.T) {
 func TestTimerHeapOrder(t *testing.T) {
 	var h timerHeap
 	for _, at := range []uint64{50, 10, 90, 30, 70} {
-		h.push(&record{fireAt: at})
+		h.push(timer{fireAt: at})
 	}
 	prev := uint64(0)
 	for len(h) > 0 {
@@ -207,7 +210,7 @@ func TestTimerHeapInterleaved(t *testing.T) {
 	var popped []uint64
 	live := 0
 	for round := 0; round < 2000; round++ {
-		h.push(&record{fireAt: next()})
+		h.push(timer{fireAt: next()})
 		live++
 		if round%3 == 2 {
 			for i := 0; i < 2 && live > 0; i++ {

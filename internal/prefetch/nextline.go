@@ -20,6 +20,7 @@ import (
 type NextLine struct {
 	cfg        Config
 	l1         L1View
+	split      addrSplit
 	eng        *engine
 	prefetched map[uint64]bool // blocks installed by prefetch, not yet touched
 }
@@ -29,19 +30,21 @@ func NewNextLine(cfg Config, l1 L1View) *NextLine {
 	if cfg.QueueEntries < 1 {
 		panic("prefetch: queue must have >= 1 entry")
 	}
+	split := newAddrSplit(l1.Config())
 	return &NextLine{
 		cfg:        cfg,
 		l1:         l1,
-		eng:        newEngine(l1.NumFrames(), cfg.QueueEntries),
+		split:      split,
+		eng:        newEngine(split.frames, cfg.QueueEntries),
 		prefetched: make(map[uint64]bool),
 	}
 }
 
 // OnAccess implements hier.Observer.
 func (p *NextLine) OnAccess(ev *hier.AccessEvent) {
-	next := ev.Block + p.l1.Config().BlockBytes
+	next := ev.Block + 1<<p.split.blockShift
 	if ev.Hit {
-		p.eng.onFrameHit(ev.Frame, ev.Block, ev.Now)
+		p.eng.onFrameHit(ev.Frame, ev.Block)
 		// Tagged: only the first touch of a prefetched block re-arms.
 		if p.prefetched[ev.Block] {
 			delete(p.prefetched, ev.Block)
@@ -49,7 +52,7 @@ func (p *NextLine) OnAccess(ev *hier.AccessEvent) {
 		}
 		return
 	}
-	p.eng.onFrameMiss(ev.Frame, ev.Block, ev.Now)
+	p.eng.onFrameMiss(ev.Frame, ev.Block)
 	delete(p.prefetched, ev.Block)
 	p.arm(next, ev.Now)
 }
@@ -59,32 +62,21 @@ func (p *NextLine) OnAccess(ev *hier.AccessEvent) {
 // wait for: classic next-line fires right away, which is also its
 // weakness — it can displace a live block in the target frame.
 func (p *NextLine) arm(block, now uint64) {
-	frame := p.l1.FrameOf(p.l1.Set(block), 0)
+	frame := int(p.split.set(block)) * p.split.ways // way 0 of the block's set
 	resident, _ := p.l1.FrameAddr(frame)
 	p.eng.schedule(frame, block, resident, now)
 }
 
 // Due implements hier.Prefetcher.
-func (p *NextLine) Due(now uint64, max int) []hier.PrefetchRequest {
-	reqs := p.eng.due(now, max)
-	if len(reqs) == 0 {
-		return nil
-	}
-	out := make([]hier.PrefetchRequest, len(reqs))
-	for i, r := range reqs {
-		out[i] = hier.PrefetchRequest{ID: r.seq, Block: r.block}
-	}
-	return out
-}
+func (p *NextLine) Due(now uint64, max int) []hier.PrefetchRequest { return p.eng.due(now, max) }
 
 // Filled implements hier.Prefetcher.
-func (p *NextLine) Filled(id uint64, at uint64, frame int, victim cache.Victim) {
-	p.eng.filled(id, at)
-	if r, ok := p.eng.bySeq[id]; ok {
-		p.prefetched[r.block] = true
+func (p *NextLine) Filled(req hier.PrefetchRequest, at uint64, frame int, victim cache.Victim) {
+	if p.eng.filled(req) {
+		p.prefetched[req.Block] = true
 	}
 	// Bound the tag set: it only needs to cover resident blocks.
-	if len(p.prefetched) > p.l1.NumFrames() {
+	if len(p.prefetched) > p.split.frames {
 		for b := range p.prefetched {
 			if _, hit := p.l1.Probe(b); !hit {
 				delete(p.prefetched, b)

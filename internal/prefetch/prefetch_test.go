@@ -3,6 +3,7 @@ package prefetch
 import (
 	"testing"
 
+	"timekeeping/internal/cache"
 	"timekeeping/internal/core"
 	"timekeeping/internal/cpu"
 	"timekeeping/internal/hier"
@@ -171,6 +172,8 @@ func TestConfigPanics(t *testing.T) {
 		},
 		func() { NewDBCP(DefaultConfig(), 3, h.L1()) },
 		func() { NewDBCP(Config{QueueEntries: 0, LiveTimeScale: 1}, 16, h.L1()) },
+		// 2^30 sets: one set bit more than a packed DBCP entry holds.
+		func() { NewDBCP(DefaultConfig(), 16, wideL1{}) },
 	} {
 		func() {
 			defer func() {
@@ -182,6 +185,15 @@ func TestConfigPanics(t *testing.T) {
 		}()
 	}
 }
+
+// wideL1 is a geometry-only L1View with 2^30 direct-mapped sets.
+type wideL1 struct{}
+
+func (wideL1) Config() cache.Config {
+	return cache.Config{Name: "wide", Bytes: 32 << 30, BlockBytes: 32, Ways: 1}
+}
+func (wideL1) FrameAddr(int) (uint64, bool) { return 0, false }
+func (wideL1) Probe(uint64) (int, bool)     { return 0, false }
 
 func TestResetStatsKeepsTraining(t *testing.T) {
 	h, pf := buildTK(t)

@@ -75,7 +75,7 @@ type tkFrame struct {
 type Timekeeping struct {
 	cfg    Config
 	table  *core.CorrTable
-	l1     L1View
+	split  addrSplit
 	frames []tkFrame
 	sets   []tkSet
 	eng    *engine
@@ -91,47 +91,33 @@ func NewTimekeeping(cfg Config, table *core.CorrTable, l1 L1View) *Timekeeping {
 	if cfg.LiveTimeScale == 0 {
 		panic("prefetch: live-time scale must be >= 1")
 	}
+	split := newAddrSplit(l1.Config())
 	return &Timekeeping{
 		cfg:    cfg,
 		table:  table,
-		l1:     l1,
-		frames: make([]tkFrame, l1.NumFrames()),
+		split:  split,
+		frames: make([]tkFrame, split.frames),
 		sets:   make([]tkSet, l1.Config().Sets()),
-		eng:    newEngine(l1.NumFrames(), cfg.QueueEntries),
+		eng:    newEngine(split.frames, cfg.QueueEntries),
 	}
 }
 
 // Table returns the correlation table (for reporting).
 func (p *Timekeeping) Table() *core.CorrTable { return p.table }
 
-// blockOf reconstructs the block address for a predicted tag in a given
-// L1 set ("the index is implied and is the same as in A and B").
-func (p *Timekeeping) blockOf(tag, set uint64) uint64 {
-	sets := p.l1.Config().Sets()
-	setBits := uint(0)
-	for s := sets; s > 1; s >>= 1 {
-		setBits++
-	}
-	blockShift := uint(0)
-	for b := p.l1.Config().BlockBytes; b > 1; b >>= 1 {
-		blockShift++
-	}
-	return (tag<<setBits | set) << blockShift
-}
-
 // OnAccess implements hier.Observer: it maintains the per-frame counters
 // and drives predictor update + access at generation boundaries.
 func (p *Timekeeping) OnAccess(ev *hier.AccessEvent) {
 	f := &p.frames[ev.Frame]
-	set := p.l1.Set(ev.Addr)
-	tag := p.l1.Tag(ev.Addr)
+	set := p.split.set(ev.Addr)
+	tag := p.split.tag(ev.Addr)
 
 	if ev.Hit {
 		if f.prefetched && ev.Block == f.prefetchedBlock {
 			// First demand touch of a prefetched block: the prefetch was
 			// timely and this is the pseudo-miss that continues the
 			// training chain.
-			p.eng.onFrameHit(ev.Frame, ev.Block, ev.Now)
+			p.eng.onFrameHit(ev.Frame, ev.Block)
 			f.prefetched = false
 			p.missLike(f, ev, set, tag)
 			return
@@ -144,7 +130,7 @@ func (p *Timekeeping) OnAccess(ev *hier.AccessEvent) {
 	}
 
 	// A demand miss: classify the outstanding prediction, then train.
-	p.eng.onFrameMiss(ev.Frame, ev.Block, ev.Now)
+	p.eng.onFrameMiss(ev.Frame, ev.Block)
 	f.prefetched = false
 	p.missLike(f, ev, set, tag)
 }
@@ -177,7 +163,7 @@ func (p *Timekeeping) missLike(f *tkFrame, ev *hier.AccessEvent, set, tag uint64
 	// Predictor access with (A, B): prediction for C and lt(B).
 	if sh.histLen == 2 {
 		if nextTag, ltB, ok := p.table.Lookup(sh.histPrev, sh.histCur, set); ok && nextTag != tag {
-			target := p.blockOf(nextTag, set)
+			target := p.split.blockOf(nextTag, set)
 			fireAt := p.cfg.tickUp(ev.Now + p.cfg.LiveTimeScale*ltB)
 			p.eng.schedule(ev.Frame, target, ev.Block, fireAt)
 		}
@@ -190,22 +176,12 @@ func (p *Timekeeping) missLike(f *tkFrame, ev *hier.AccessEvent, set, tag uint64
 }
 
 // Due implements hier.Prefetcher.
-func (p *Timekeeping) Due(now uint64, max int) []hier.PrefetchRequest {
-	reqs := p.eng.due(now, max)
-	if len(reqs) == 0 {
-		return nil
-	}
-	out := make([]hier.PrefetchRequest, len(reqs))
-	for i, r := range reqs {
-		out[i] = hier.PrefetchRequest{ID: r.seq, Block: r.block}
-	}
-	return out
-}
+func (p *Timekeeping) Due(now uint64, max int) []hier.PrefetchRequest { return p.eng.due(now, max) }
 
 // Filled implements hier.Prefetcher: latch the displaced block's live time
 // and mark the frame's resident as prefetched.
-func (p *Timekeeping) Filled(id uint64, at uint64, frame int, victim cache.Victim) {
-	p.eng.filled(id, at)
+func (p *Timekeeping) Filled(req hier.PrefetchRequest, at uint64, frame int, victim cache.Victim) {
+	live := p.eng.filled(req)
 	f := &p.frames[frame]
 	if victim.Valid {
 		lt := uint64(0)
@@ -215,9 +191,9 @@ func (p *Timekeeping) Filled(id uint64, at uint64, frame int, victim cache.Victi
 		f.displacedLT = lt
 		f.displacedValid = true
 	}
-	if r, ok := p.eng.bySeq[id]; ok {
+	if live {
 		f.prefetched = true
-		f.prefetchedBlock = r.block
+		f.prefetchedBlock = req.Block
 	}
 }
 
