@@ -38,8 +38,9 @@ var mechConfigs = []struct {
 	{"nextline", nil, func(o *sim.Options) { o.Prefetcher = sim.PrefetchNextLine }},
 	{"victim-decay", nil, func(o *sim.Options) { o.VictimFilter = sim.VictimDecay }},
 	// DBCP stores the predicted block's set beside its tag, so a 2-way
-	// L1 (one set bit fewer) pins the table's set handling too.
-	{"dbcp-2way", []string{"mcf", "ammp"}, func(o *sim.Options) {
+	// L1 (one set bit fewer) pins the table's set handling too, on two
+	// benches that issue DBCP prefetches at this scale.
+	{"dbcp-2way", []string{"gcc", "ammp"}, func(o *sim.Options) {
 		o.Prefetcher = sim.PrefetchDBCP
 		o.Hier.L1.Ways = 2
 	}},

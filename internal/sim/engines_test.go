@@ -48,11 +48,14 @@ func engineGateOptions(i int) sim.Options {
 	}
 	// A few set-associative L1 points so the gate is not all
 	// direct-mapped (every mechanism gets at least one, DBCP at i=14),
-	// and a few limit-study points.
+	// and a few limit-study points. The victim lookup runs before the
+	// perfect-L1 shortcut, so the limit study meets the decay victim
+	// cache (i=1), next-line+Collins on a 2-way L1 (i=8), no mechanism
+	// (i=15) and timekeeping (i=22).
 	if i%3 == 2 {
 		opt.Hier.L1.Ways = 2
 	}
-	if i%7 == 5 {
+	if i%7 == 1 {
 		opt.Hier.PerfectL1 = true
 	}
 	return opt
