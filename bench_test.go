@@ -60,7 +60,7 @@ func BenchmarkFigure1(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	stored, err := golden.LoadBench()
+	stored, err := golden.BenchFile.Load(golden.Dir())
 	if err != nil {
 		b.Fatalf("%v (run `go run ./cmd/tkgold -update`)", err)
 	}
@@ -83,7 +83,7 @@ func BenchmarkFigure1(b *testing.B) {
 			}
 			w, ok := want[bench]
 			if !ok {
-				b.Fatalf("%s: no golden entry in %s", bench, golden.BenchPath())
+				b.Fatalf("%s: no golden entry in %s", bench, golden.BenchFile.Path(golden.Dir()))
 			}
 			got := golden.EntryOf(bench, golden.BenchScaleOptions(), r.Result("base", bench))
 			if d := golden.Diff(got, w); d != "" {

@@ -103,35 +103,17 @@ func run(args []string, out, errOut io.Writer) int {
 	}
 
 	if *only == "" {
-		if err := benchCorpus(*update, *dir, out); err != nil {
-			if *update {
-				fmt.Fprintln(errOut, "tkgold:", err)
-				return 1
+		for _, c := range listCorpora(*update, *dir, out) {
+			if err := c.maintain(); err != nil {
+				if *update {
+					fmt.Fprintln(errOut, "tkgold:", err)
+					return 1
+				}
+				fmt.Fprintf(out, "DRIFT %s: %v\n", c.name, err)
+				drifted = append(drifted, c.name)
+			} else if !*update {
+				fmt.Fprintf(out, "ok    %s\n", c.name)
 			}
-			fmt.Fprintf(out, "DRIFT bench_fig1: %v\n", err)
-			drifted = append(drifted, "bench_fig1")
-		} else if !*update {
-			fmt.Fprintln(out, "ok    bench_fig1")
-		}
-		if err := phaseCorpus(*update, *dir, out); err != nil {
-			if *update {
-				fmt.Fprintln(errOut, "tkgold:", err)
-				return 1
-			}
-			fmt.Fprintf(out, "DRIFT phase_sampled: %v\n", err)
-			drifted = append(drifted, "phase_sampled")
-		} else if !*update {
-			fmt.Fprintln(out, "ok    phase_sampled")
-		}
-		if err := mechCorpus(*update, *dir, out); err != nil {
-			if *update {
-				fmt.Fprintln(errOut, "tkgold:", err)
-				return 1
-			}
-			fmt.Fprintf(out, "DRIFT mechanisms: %v\n", err)
-			drifted = append(drifted, "mechanisms")
-		} else if !*update {
-			fmt.Fprintln(out, "ok    mechanisms")
 		}
 	}
 
@@ -192,97 +174,64 @@ func auditStore(storeDir, corpusDir string, benches []string, out, errOut io.Wri
 	return 0
 }
 
-// phaseCorpus maintains phase_sampled.json: phase-sampled estimates for
-// the representative subset, pinning the seeded clustering pipeline's
-// determinism (signatures, k-means, window plan, stratified estimates).
-func phaseCorpus(update bool, dir string, out io.Writer) error {
-	opt := golden.PhaseOptions()
-	var entries []golden.PhaseEntry
-	for _, b := range golden.PhaseBenches {
-		e, err := golden.ComputePhase(b, opt)
-		if err != nil {
-			return err
-		}
-		entries = append(entries, e)
-	}
-	if update {
-		if err := golden.SavePhase(entries); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", golden.PhasePath())
-		return nil
-	}
-	want, err := golden.LoadPhaseFrom(dir)
-	if err != nil {
-		return fmt.Errorf("%w (run with -update to create the corpus)", err)
-	}
-	if len(want) != len(entries) {
-		return fmt.Errorf("stored %d entries, computed %d", len(want), len(entries))
-	}
-	for i, e := range entries {
-		if d := golden.PhaseDiff(e, want[i]); d != "" {
-			return fmt.Errorf("%s: %s", e.Bench, d)
-		}
-	}
-	return nil
+// listCorpusFile names a list-valued corpus file in tkgold's report.
+type listCorpusFile struct {
+	name     string
+	maintain func() error
 }
 
-// mechCorpus maintains mechanisms.json: the full result of every
-// mechanism configuration on the representative subset, pinning the
-// prefetchers and the victim cache that the base-configuration entries
-// never attach.
-func mechCorpus(update bool, dir string, out io.Writer) error {
-	var entries []golden.MechEntry
-	for _, p := range golden.MechPoints() {
-		e, err := golden.ComputeMech(p)
-		if err != nil {
-			return err
-		}
-		entries = append(entries, e)
+// listCorpora are the list-valued corpus files, each maintained (rewritten
+// under update, verified against dir otherwise) by its own listCorpus call:
+//   - bench_fig1.json: the benchmark-smoke subset at the reduced scale
+//     bench_test.go runs;
+//   - phase_sampled.json: phase-sampled estimates for the representative
+//     subset, pinning the seeded clustering pipeline's determinism
+//     (signatures, k-means, window plan, stratified estimates);
+//   - mechanisms.json: the full result of every mechanism configuration
+//     on the representative subset, pinning the prefetchers and the
+//     victim cache that the base-configuration entries never attach.
+func listCorpora(update bool, dir string, out io.Writer) []listCorpusFile {
+	benchOpt, phaseOpt := golden.BenchScaleOptions(), golden.PhaseOptions()
+	return []listCorpusFile{
+		{"bench_fig1", func() error {
+			return listCorpus(update, dir, out, golden.BenchFile,
+				[]string{"eon", "twolf", "vpr", "ammp", "swim", "mcf", "facerec", "gcc"},
+				func(b string) (golden.Entry, error) { return golden.Compute(b, benchOpt) },
+				func(e golden.Entry) string { return e.Bench })
+		}},
+		{"phase_sampled", func() error {
+			return listCorpus(update, dir, out, golden.PhaseFile, golden.PhaseBenches,
+				func(b string) (golden.PhaseEntry, error) { return golden.ComputePhase(b, phaseOpt) },
+				func(e golden.PhaseEntry) string { return e.Bench })
+		}},
+		{"mechanisms", func() error {
+			return listCorpus(update, dir, out, golden.MechFile, golden.MechPoints(), golden.ComputeMech,
+				func(e golden.MechEntry) string { return e.Bench + "/" + e.Config })
+		}},
 	}
-	if update {
-		if err := golden.SaveMech(entries); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", golden.MechPath())
-		return nil
-	}
-	want, err := golden.LoadMechFrom(dir)
-	if err != nil {
-		return fmt.Errorf("%w (run with -update to create the corpus)", err)
-	}
-	if len(want) != len(entries) {
-		return fmt.Errorf("stored %d entries, computed %d", len(want), len(entries))
-	}
-	for i, e := range entries {
-		if d := golden.MechDiff(e, want[i]); d != "" {
-			return fmt.Errorf("%s/%s: %s", e.Bench, e.Config, d)
-		}
-	}
-	return nil
 }
 
-// benchCorpus maintains bench_fig1.json: the benchmark-smoke subset at the
-// reduced scale bench_test.go runs.
-func benchCorpus(update bool, dir string, out io.Writer) error {
-	subset := []string{"eon", "twolf", "vpr", "ammp", "swim", "mcf", "facerec", "gcc"}
-	opt := golden.BenchScaleOptions()
-	var entries []golden.Entry
-	for _, b := range subset {
-		e, err := golden.Compute(b, opt)
+// listCorpus computes one entry per point, in file order, then rewrites
+// file (update) or compares it entry by entry against the copy in dir,
+// naming the first drifted entry by its label.
+func listCorpus[P, T any](update bool, dir string, out io.Writer, file golden.ListFile[T],
+	points []P, compute func(P) (T, error), label func(T) string) error {
+	var entries []T
+	for _, p := range points {
+		e, err := compute(p)
 		if err != nil {
 			return err
 		}
 		entries = append(entries, e)
 	}
 	if update {
-		if err := golden.SaveBench(entries); err != nil {
+		if err := file.Save(entries); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "wrote %s\n", golden.BenchPath())
+		fmt.Fprintf(out, "wrote %s\n", file.Path(golden.Dir()))
 		return nil
 	}
-	want, err := golden.LoadBenchFrom(dir)
+	want, err := file.Load(dir)
 	if err != nil {
 		return fmt.Errorf("%w (run with -update to create the corpus)", err)
 	}
@@ -291,7 +240,7 @@ func benchCorpus(update bool, dir string, out io.Writer) error {
 	}
 	for i, e := range entries {
 		if d := golden.Diff(e, want[i]); d != "" {
-			return fmt.Errorf("%s: %s", e.Bench, d)
+			return fmt.Errorf("%s: %s", label(e), d)
 		}
 	}
 	return nil

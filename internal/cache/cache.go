@@ -155,9 +155,6 @@ func (c *Cache) Set(addr uint64) uint64 { return (addr >> c.blockShift) & c.setM
 // Tag returns addr's tag (the address bits above the index).
 func (c *Cache) Tag(addr uint64) uint64 { return addr >> c.blockShift >> setBits(c.sets) }
 
-// FrameOf returns the frame index for a set and way.
-func (c *Cache) FrameOf(set uint64, way int) int { return int(set)*c.ways + way }
-
 // SetOfFrame returns the set a frame index belongs to.
 func (c *Cache) SetOfFrame(frame int) uint64 { return uint64(frame) / uint64(c.ways) }
 

@@ -200,13 +200,15 @@ func TestAddressMapping(t *testing.T) {
 	}
 }
 
+// Frames are laid out set-major: frame set*ways+way.
 func TestFrameOfRoundTrip(t *testing.T) {
-	c := smallCache(t, 1<<20, 64, 4)
+	const ways = 4
+	c := smallCache(t, 1<<20, 64, ways)
 	for _, set := range []uint64{0, 1, 4095} {
-		for way := 0; way < 4; way++ {
-			f := c.FrameOf(set, way)
+		for way := 0; way < ways; way++ {
+			f := int(set)*ways + way
 			if c.SetOfFrame(f) != set {
-				t.Fatalf("SetOfFrame(FrameOf(%d,%d)) = %d", set, way, c.SetOfFrame(f))
+				t.Fatalf("SetOfFrame(%d*%d+%d) = %d", set, ways, way, c.SetOfFrame(f))
 			}
 		}
 	}

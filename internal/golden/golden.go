@@ -134,12 +134,22 @@ func Path(bench string) string { return PathIn(Dir(), bench) }
 // PathIn is Path against an alternate corpus directory (tkgold's -dir).
 func PathIn(dir, bench string) string { return filepath.Join(dir, bench+".json") }
 
-// BenchPath returns the benchmark-smoke corpus file (the []Entry that
-// BenchmarkFigure1 verifies).
-func BenchPath() string { return BenchPathIn(Dir()) }
+// A ListFile is a corpus file, named within the corpus directory, that
+// holds a JSON list of T records.
+type ListFile[T any] string
 
-// BenchPathIn is BenchPath against an alternate corpus directory.
-func BenchPathIn(dir string) string { return filepath.Join(dir, "bench_fig1.json") }
+// BenchFile is the benchmark-smoke corpus (the []Entry that
+// BenchmarkFigure1 verifies).
+const BenchFile ListFile[Entry] = "bench_fig1.json"
+
+// Path returns the file's path in corpus directory dir.
+func (f ListFile[T]) Path(dir string) string { return filepath.Join(dir, string(f)) }
+
+// Load reads the file from corpus directory dir (tkgold's -dir, or Dir()).
+func (f ListFile[T]) Load(dir string) ([]T, error) { return read[[]T](f.Path(dir)) }
+
+// Save writes the file in the corpus directory.
+func (f ListFile[T]) Save(es []T) error { return write(f.Path(Dir()), es) }
 
 // Marshal renders the canonical on-disk form.
 func Marshal(v any) ([]byte, error) {
@@ -151,67 +161,43 @@ func Marshal(v any) ([]byte, error) {
 }
 
 // Save writes the entry to its corpus file.
-func Save(e Entry) error {
-	b, err := Marshal(e)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(Dir(), 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(Path(e.Bench), b, 0o644)
-}
+func Save(e Entry) error { return write(Path(e.Bench), e) }
 
 // Load reads a benchmark's stored entry.
 func Load(bench string) (Entry, error) { return LoadFrom(Dir(), bench) }
 
 // LoadFrom reads a benchmark's stored entry from an alternate corpus
 // directory.
-func LoadFrom(dir, bench string) (Entry, error) {
-	var e Entry
-	b, err := os.ReadFile(PathIn(dir, bench))
+func LoadFrom(dir, bench string) (Entry, error) { return read[Entry](PathIn(dir, bench)) }
+
+// read decodes the corpus file at path.
+func read[T any](path string) (T, error) {
+	var v T
+	b, err := os.ReadFile(path)
 	if err != nil {
-		return e, err
+		return v, err
 	}
-	err = json.Unmarshal(b, &e)
-	return e, err
+	err = json.Unmarshal(b, &v)
+	return v, err
 }
 
-// LoadBench reads the benchmark-smoke corpus.
-func LoadBench() ([]Entry, error) { return LoadBenchFrom(Dir()) }
-
-// LoadBenchFrom reads the benchmark-smoke corpus from an alternate corpus
-// directory.
-func LoadBenchFrom(dir string) ([]Entry, error) {
-	var es []Entry
-	b, err := os.ReadFile(BenchPathIn(dir))
-	if err != nil {
-		return nil, err
-	}
-	err = json.Unmarshal(b, &es)
-	return es, err
-}
-
-// SaveBench writes the benchmark-smoke corpus.
-func SaveBench(es []Entry) error {
-	b, err := Marshal(es)
+// write stores v at path in canonical form, creating the corpus directory
+// if needed.
+func write(path string, v any) error {
+	b, err := Marshal(v)
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(Dir(), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	return os.WriteFile(BenchPath(), b, 0o644)
+	return os.WriteFile(path, b, 0o644)
 }
 
-// Diff compares a freshly computed entry against a stored one in
-// canonical form and returns a description of the drift, or "" when they
-// match.
-func Diff(got, want Entry) string { return canonicalDiff(got, want) }
-
-// canonicalDiff compares two corpus records in canonical form and returns
-// a description of the drift, or "" when they match.
-func canonicalDiff(got, want any) string {
+// Diff compares a freshly computed corpus record (an Entry, PhaseEntry or
+// MechEntry) against a stored one in canonical form and returns a
+// description of the drift, or "" when they match.
+func Diff[T any](got, want T) string {
 	gb, err := Marshal(got)
 	if err != nil {
 		return fmt.Sprintf("marshal: %v", err)

@@ -32,7 +32,7 @@ func TestCorpusComplete(t *testing.T) {
 			t.Errorf("missing golden entry for %s: %v (run `go run ./cmd/tkgold -update`)", b, err)
 		}
 	}
-	if _, err := os.Stat(BenchPath()); err != nil {
+	if _, err := os.Stat(BenchFile.Path(Dir())); err != nil {
 		t.Errorf("missing bench_fig1 corpus: %v", err)
 	}
 }
@@ -61,7 +61,7 @@ func TestGoldenStats(t *testing.T) {
 // smoke checks (bench_fig1.json), including that its entries match what
 // bench_test.go's runner configuration produces.
 func TestGoldenBenchScale(t *testing.T) {
-	want, err := LoadBench()
+	want, err := BenchFile.Load(Dir())
 	if err != nil {
 		t.Fatalf("%v (run `go run ./cmd/tkgold -update`)", err)
 	}

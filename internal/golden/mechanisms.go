@@ -2,9 +2,6 @@ package golden
 
 import (
 	"context"
-	"encoding/json"
-	"os"
-	"path/filepath"
 
 	"timekeeping/internal/sim"
 	"timekeeping/internal/workload"
@@ -89,39 +86,5 @@ func ComputeMech(p MechPoint) (MechEntry, error) {
 	return MechEntry{Bench: p.Bench, Config: p.Config, Result: res}, nil
 }
 
-// MechPath returns the mechanism corpus file.
-func MechPath() string { return MechPathIn(Dir()) }
-
-// MechPathIn is MechPath against an alternate corpus directory.
-func MechPathIn(dir string) string { return filepath.Join(dir, "mechanisms.json") }
-
-// LoadMech reads the mechanism corpus.
-func LoadMech() ([]MechEntry, error) { return LoadMechFrom(Dir()) }
-
-// LoadMechFrom reads the mechanism corpus from an alternate corpus
-// directory.
-func LoadMechFrom(dir string) ([]MechEntry, error) {
-	var es []MechEntry
-	b, err := os.ReadFile(MechPathIn(dir))
-	if err != nil {
-		return nil, err
-	}
-	err = json.Unmarshal(b, &es)
-	return es, err
-}
-
-// SaveMech writes the mechanism corpus.
-func SaveMech(es []MechEntry) error {
-	b, err := Marshal(es)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(Dir(), 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(MechPath(), b, 0o644)
-}
-
-// MechDiff compares a freshly computed mechanism entry against a stored
-// one in canonical form; "" means byte-identical.
-func MechDiff(got, want MechEntry) string { return canonicalDiff(got, want) }
+// MechFile is the mechanism corpus.
+const MechFile ListFile[MechEntry] = "mechanisms.json"

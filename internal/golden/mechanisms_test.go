@@ -7,7 +7,7 @@ import "testing"
 // byte-for-byte. Under TK_AUDIT the same points run on the audited
 // reference loop, so the file anchors both engines.
 func TestMechanismsMatchGoldenCorpus(t *testing.T) {
-	want, err := LoadMech()
+	want, err := MechFile.Load(Dir())
 	if err != nil {
 		t.Fatalf("loading mechanism corpus: %v (generate with `go run ./cmd/tkgold -update`)", err)
 	}
@@ -26,7 +26,7 @@ func TestMechanismsMatchGoldenCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := MechDiff(got, want[i]); d != "" {
+			if d := Diff(got, want[i]); d != "" {
 				t.Errorf("mechanism result drifted: %s\nregenerate with `go run ./cmd/tkgold -update` if intentional", d)
 			}
 		})

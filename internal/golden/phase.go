@@ -2,10 +2,7 @@ package golden
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"timekeeping/internal/cpu"
 	"timekeeping/internal/hier"
@@ -76,39 +73,11 @@ func ComputePhase(bench string, opt sim.Options) (PhaseEntry, error) {
 	}, nil
 }
 
-// PhasePath returns the phase-sampled corpus file.
-func PhasePath() string { return PhasePathIn(Dir()) }
-
-// PhasePathIn is PhasePath against an alternate corpus directory.
-func PhasePathIn(dir string) string { return filepath.Join(dir, "phase_sampled.json") }
+// PhaseFile is the phase-sampled corpus.
+const PhaseFile ListFile[PhaseEntry] = "phase_sampled.json"
 
 // LoadPhase reads the phase-sampled corpus.
-func LoadPhase() ([]PhaseEntry, error) { return LoadPhaseFrom(Dir()) }
+func LoadPhase() ([]PhaseEntry, error) { return PhaseFile.Load(Dir()) }
 
-// LoadPhaseFrom reads the phase-sampled corpus from an alternate corpus
-// directory.
-func LoadPhaseFrom(dir string) ([]PhaseEntry, error) {
-	var es []PhaseEntry
-	b, err := os.ReadFile(PhasePathIn(dir))
-	if err != nil {
-		return nil, err
-	}
-	err = json.Unmarshal(b, &es)
-	return es, err
-}
-
-// SavePhase writes the phase-sampled corpus.
-func SavePhase(es []PhaseEntry) error {
-	b, err := Marshal(es)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(Dir(), 0o755); err != nil {
-		return err
-	}
-	return os.WriteFile(PhasePath(), b, 0o644)
-}
-
-// PhaseDiff compares a freshly computed phase entry against a stored one
-// in canonical form; "" means byte-identical.
-func PhaseDiff(got, want PhaseEntry) string { return canonicalDiff(got, want) }
+// PhaseDiff is Diff on phase entries.
+func PhaseDiff(got, want PhaseEntry) string { return Diff(got, want) }
