@@ -93,23 +93,6 @@ func BenchmarkFigure1(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure1Reference pins the same sweep to the reference loop.
-// Compare with BenchmarkFigure1 (fast engine via auto selection) for the
-// hot-loop speedup; cmd/tkbench measures and gates the same ratio.
-func BenchmarkFigure1Reference(b *testing.B) {
-	exp, err := experiments.ByID("fig1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		r := benchRunner()
-		r.Engine = sim.EngineReference
-		if tables := exp.Run(r); len(tables) == 0 {
-			b.Fatal("experiment produced no tables")
-		}
-	}
-}
-
 func BenchmarkFigure2(b *testing.B)  { runExperiment(b, "fig2") }
 func BenchmarkFigure4(b *testing.B)  { runExperiment(b, "fig4") }
 func BenchmarkFigure5(b *testing.B)  { runExperiment(b, "fig5") }

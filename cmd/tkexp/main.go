@@ -29,7 +29,6 @@ import (
 	"timekeeping/internal/experiments"
 	"timekeeping/internal/obs"
 	"timekeeping/internal/sample"
-	"timekeeping/internal/sim"
 	"timekeeping/internal/simcache"
 	"timekeeping/internal/store"
 	"timekeeping/internal/workload"
@@ -54,7 +53,6 @@ func main() {
 		evOut    = flag.String("events-out", "", "capture per-experiment-point run spans (and generation events) and write a Perfetto trace (or JSONL with a .jsonl suffix) to this file")
 		evCap    = flag.Int("events-cap", 0, "with -events-out: event ring capacity (0 = 65536)")
 		cacheDir = flag.String("cache-dir", "", "durable result cache directory: runs repeated across invocations are answered from disk")
-		engName  = flag.String("engine", "auto", "execution engine for every run: auto | fast | reference")
 	)
 	flag.Parse()
 
@@ -78,16 +76,6 @@ func main() {
 	}
 
 	runner := experiments.NewRunner()
-	eng, err := sim.ParseEngine(*engName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if eng == sim.EngineFast && *evOut != "" {
-		fmt.Fprintf(os.Stderr, "tkexp: engine %q cannot run with -events-out (use auto or reference)\n", eng)
-		os.Exit(2)
-	}
-	runner.Engine = eng
 	if *cacheDir != "" {
 		st, err := store.Open(*cacheDir, store.Options{})
 		if err != nil {

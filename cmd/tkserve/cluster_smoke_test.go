@@ -304,17 +304,10 @@ func TestStoreRestartSmoke(t *testing.T) {
 	if j2.Cache != api.CacheDisk {
 		t.Fatalf("second-life cache = %q, want %q", j2.Cache, api.CacheDisk)
 	}
-	// The durable store is engine-neutral: a disk-served view carries no
-	// engine annotation, so compare with the first life's engine blanked.
 	if j1.Result == nil || j2.Result == nil {
 		t.Fatalf("missing result: before %+v, after %+v", j1.Result, j2.Result)
 	}
-	if j2.Result.Engine != "" {
-		t.Fatalf("disk-served result engine = %q, want empty", j2.Result.Engine)
-	}
-	cold := *j1.Result
-	cold.Engine = ""
-	if !reflect.DeepEqual(&cold, j2.Result) {
+	if !reflect.DeepEqual(j1.Result, j2.Result) {
 		t.Fatalf("restart changed the result:\n  before %+v\n  after  %+v", j1.Result, j2.Result)
 	}
 	m := metricsMap(t, base2)

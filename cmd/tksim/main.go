@@ -70,7 +70,6 @@ func main() {
 		evKinds  = flag.String("events-kinds", "", "restrict event capture to these kinds, e.g. fill,hit,evict (default: all)")
 		evCap    = flag.Int("events-cap", 0, "event ring capacity; oldest events drop on overflow (0 = 65536)")
 		cacheDir = flag.String("cache-dir", "", "durable result cache directory: identical workload runs are answered from disk across invocations")
-		engName  = flag.String("engine", "auto", "execution engine: auto | fast | reference")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile to this file (pprof format)")
 		memProf  = flag.String("memprofile", "", "write an allocation profile to this file (pprof format)")
 		version  = flag.Bool("version", false, "print build information and exit")
@@ -101,11 +100,6 @@ func main() {
 	}
 
 	opt := sim.Default()
-	eng, err := sim.ParseEngine(*engName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	vf, err := sim.ParseVictimFilter(*victim)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -179,7 +173,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, rerr)
 			os.Exit(1)
 		}
-		spec := sim.Spec{Name: *traceIn, Stream: rd, Opts: opt, Engine: eng}
+		spec := sim.Spec{Name: *traceIn, Stream: rd, Opts: opt}
 		if opt.Sampling != nil && (opt.Sampling.SegmentWindows > 0 || opt.Sampling.Schedule == sample.SchedulePhase) {
 			// Segment workers (and the phase schedule's profiling pass) each
 			// replay the trace independently from their own fork offset: load
@@ -222,7 +216,7 @@ func main() {
 			var outcome simcache.Outcome
 			res, outcome, err = cache.Do(context.Background(), simcache.Key(spec.Name, opt),
 				func(ctx context.Context) (sim.Result, error) {
-					return sim.Run(ctx, sim.Spec{Workload: spec, Opts: opt, Engine: eng})
+					return sim.Run(ctx, sim.Spec{Workload: spec, Opts: opt})
 				})
 			if outcome == simcache.Disk {
 				fmt.Fprintf(os.Stderr, "tksim: result served from %s (no simulation ran", *cacheDir)
@@ -232,8 +226,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, ")")
 			}
 		} else {
-			res, err = sim.Run(context.Background(),
-				sim.Spec{Workload: spec, Opts: opt, Engine: eng})
+			res, err = sim.Run(context.Background(), sim.Spec{Workload: spec, Opts: opt})
 		}
 	}
 	if err != nil {
@@ -251,11 +244,6 @@ func main() {
 	}
 
 	fmt.Printf("bench        %s\n", res.Bench)
-	if res.Engine != "" {
-		// Empty when the result came from the durable cache: stored
-		// results are engine-neutral, no simulation ran.
-		fmt.Printf("engine       %s\n", res.Engine)
-	}
 	if e := res.Estimate; e != nil {
 		fmt.Printf("sampled      %d windows (detailed %d refs, functionally warmed %d)\n",
 			e.Windows, e.DetailedRefs, e.WarmRefs)

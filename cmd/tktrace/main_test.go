@@ -12,7 +12,7 @@ import (
 )
 
 // TestTraceRoundTrip records a workload to a trace file the way
-// `tktrace -gen` does, replays it through sim.RunStream, and checks the
+// `tktrace -gen` does, replays it through sim.Run, and checks the
 // statistics match the generator-driven run exactly: the on-disk format
 // must be a lossless substitute for the live stream.
 func TestTraceRoundTrip(t *testing.T) {
@@ -65,7 +65,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := sim.RunStream(path, rd, opt)
+	replay, err := sim.Run(context.Background(), sim.Spec{Name: path, Stream: rd, Opts: opt})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,7 +81,8 @@ func minWall(runs int, f func()) time.Duration {
 // TestEventsOverhead is the wall-time guard on the filtered capture: a
 // four-set capture of the Figure 1 baseline must cost no more than 10%
 // over the tracing-off run, plus a fixed slack that keeps the guard
-// meaningful without turning CI scheduling jitter into failures.
+// meaningful without turning CI scheduling jitter into failures. Both
+// sides run on the engine, the path every capture takes.
 func TestEventsOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overhead guard repeats full runs; skipped under -short")
@@ -93,10 +94,7 @@ func TestEventsOverhead(t *testing.T) {
 			if cfg != nil {
 				opt.Events = events.NewSink(*cfg)
 			}
-			// Pin the reference engine on both sides: capture forces it
-			// anyway, and the guard measures capture overhead on that
-			// loop, not the fast engine's head start.
-			if _, err := sim.Run(context.Background(), sim.Spec{Workload: spec, Opts: opt, Engine: sim.EngineReference}); err != nil {
+			if _, err := sim.Run(context.Background(), sim.Spec{Workload: spec, Opts: opt}); err != nil {
 				t.Fatal(err)
 			}
 		}

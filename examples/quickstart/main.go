@@ -1,43 +1,44 @@
-// Quickstart: build the Table 1 memory hierarchy, attach the timekeeping
-// tracker, run a synthetic SPEC2000 analog through the out-of-order core,
-// and print the generational statistics the paper is built on.
+// Quickstart: simulate a synthetic SPEC2000 analog on the Table 1 machine
+// with the timekeeping tracker attached, and print the generational
+// statistics the paper is built on.
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
-	"timekeeping/internal/core"
-	"timekeeping/internal/cpu"
-	"timekeeping/internal/hier"
+	"timekeeping/internal/sim"
 	"timekeeping/internal/workload"
 )
 
 func main() {
 	// The simulated machine of Table 1: 32 KB direct-mapped L1D, 1 MB
-	// 4-way L2, 70-cycle memory, 8-wide core with a 128-entry window.
-	h := hier.New(hier.DefaultConfig())
+	// 4-way L2, 70-cycle memory, 8-wide core with a 128-entry window. A
+	// run warms the caches, resets the statistics, then measures.
+	opt := sim.Default()
 
 	// The timekeeping tracker is the paper's per-cache-line counter
 	// hardware: it watches every L1 access and measures live times, dead
 	// times, access intervals and reload intervals.
-	tracker := core.NewTracker(h.L1().NumFrames())
-	h.AddObserver(tracker)
+	opt.Track = true
 
-	// Drive 500K references of the gcc analog through the core.
 	spec := workload.MustProfile("gcc")
-	model := cpu.New(cpu.DefaultConfig(), h)
-	res := model.Run(spec.Stream(1), 500_000)
+	res, err := sim.Run(context.Background(), sim.Spec{Workload: spec, Opts: opt})
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	fmt.Printf("benchmark    %s\n", spec.Name)
-	fmt.Printf("instructions %d\n", res.Insts)
-	fmt.Printf("cycles       %d\n", res.Cycles)
-	fmt.Printf("IPC          %.3f\n", res.IPC)
+	fmt.Printf("benchmark    %s\n", res.Bench)
+	fmt.Printf("instructions %d\n", res.CPU.Insts)
+	fmt.Printf("cycles       %d\n", res.CPU.Cycles)
+	fmt.Printf("IPC          %.3f\n", res.CPU.IPC)
 
-	s := h.Stats()
+	s := res.Hier
 	fmt.Printf("L1 miss rate %.1f%% (cold %d, conflict %d, capacity %d)\n",
 		100*s.MissRate(), s.ColdMisses, s.ConflMiss, s.CapMiss)
 
-	m := tracker.Metrics()
+	m := res.Tracker
 	fmt.Printf("generations  %d\n", m.Generations)
 	fmt.Printf("live times   mean %.0f cycles, %.0f%% at most 100 cycles\n",
 		m.Live.Mean(), 100*m.Live.FracBelow(100))

@@ -1,9 +1,10 @@
 // Package caps assembles the simulator's capability inventory — the one
 // source of truth behind tkserve's GET /v1/capabilities and the CLI
-// `-list` outputs (tksim, tkexp). Anything a request can name (engines,
-// benchmarks, victim filters, prefetchers, experiments) is enumerated
+// `-list` outputs (tksim, tkexp). Anything a request can name
+// (benchmarks, victim filters, prefetchers, experiments) is enumerated
 // here from the packages that define it, so the server and every command
-// advertise exactly the same vocabulary.
+// advertise exactly the same vocabulary. Every run takes the one
+// execution engine, so there is no engine to name.
 package caps
 
 import (
@@ -46,14 +47,12 @@ func Build() *api.BuildInfo { return buildOnce() }
 // server's configuration, which tkserve overlays before answering.
 func Local() api.Capabilities {
 	c := api.Capabilities{
-		Engines:       []string{string(sim.EngineAuto)},
 		Benches:       workload.Names(),
 		VictimFilters: asStrings(sim.VictimFilters()),
 		Prefetchers:   asStrings(sim.Prefetchers()),
 		Sampling:      true,
 		Build:         Build(),
 	}
-	c.Engines = append(c.Engines, asStrings(sim.Engines())...)
 	for _, e := range experiments.All() {
 		c.Experiments = append(c.Experiments, api.ExperimentInfo{ID: e.ID, Title: e.Title})
 	}

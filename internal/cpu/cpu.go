@@ -20,13 +20,16 @@
 //
 // Time is kept in integer "subcycles" (Width subcycles per cycle) so the
 // model is exact and deterministic with no floating point.
+//
+// Model is the reference core: internal/engine transcribes it, and only
+// the tests that compare the two drive it. Config and Result are shared
+// by both.
 package cpu
 
 import (
 	"context"
 	"fmt"
 
-	"timekeeping/internal/obs"
 	"timekeeping/internal/trace"
 )
 
@@ -120,10 +123,6 @@ type Model struct {
 	ring []retireRec
 	head int // next slot to write
 	n    int // entries filled
-
-	// prog, when set, receives reference-count updates on the context-check
-	// cadence (every ctxCheckRefs references). Nil is a valid no-op.
-	prog *obs.Progress
 }
 
 // New builds a core over the given memory system.
@@ -141,8 +140,7 @@ func New(cfg Config, mem MemSystem) *Model {
 // Clone returns an independent copy of the core's run state bound to a new
 // memory system (typically a clone of the original's hierarchy). The
 // retirement ring is duplicated so the window constraint evolves
-// identically; the progress handle is shared — obs.Progress is atomic, so
-// concurrently running clones pool their reference counts into one handle.
+// identically.
 func (m *Model) Clone(mem MemSystem) *Model {
 	d := *m
 	d.mem = mem
@@ -274,15 +272,10 @@ func (m *Model) RunFunctional(ctx context.Context, s trace.Stream, maxRefs uint6
 	if subPerInst == 0 {
 		subPerInst = 1
 	}
-	var done, reported uint64
-	defer func() {
-		m.prog.Add(done - reported)
-	}()
+	var done uint64
 	var r trace.Ref
 	for done < maxRefs {
 		if done%ctxCheckRefs == 0 {
-			m.prog.Add(done - reported)
-			reported = done
 			if err := ctx.Err(); err != nil {
 				return m.Snapshot(), err
 			}
@@ -319,17 +312,10 @@ const ctxCheckRefs = 4096
 // ctx is cancelled the model stops between references and returns the
 // snapshot so far alongside ctx's error.
 func (m *Model) RunContext(ctx context.Context, s trace.Stream, maxRefs uint64) (Result, error) {
-	var done, reported uint64
-	defer func() {
-		// Flush the sub-cadence remainder so progress lands exactly on the
-		// number of references processed, however the loop exits.
-		m.prog.Add(done - reported)
-	}()
+	var done uint64
 	var r trace.Ref
 	for done < maxRefs {
 		if done%ctxCheckRefs == 0 {
-			m.prog.Add(done - reported)
-			reported = done
 			if err := ctx.Err(); err != nil {
 				return m.Snapshot(), err
 			}
@@ -349,11 +335,6 @@ func (m *Model) RunContext(ctx context.Context, s trace.Stream, maxRefs uint64) 
 	}
 	return m.Snapshot(), nil
 }
-
-// SetProgress attaches a live progress handle; the model adds the
-// references it completes at the RunContext check cadence. A nil handle
-// detaches.
-func (m *Model) SetProgress(p *obs.Progress) { m.prog = p }
 
 // Snapshot returns the cumulative execution summary without running.
 func (m *Model) Snapshot() Result {

@@ -1,7 +1,9 @@
-// Package engine is the batched struct-of-arrays execution engine behind
-// sim's fast path: the reference hot loop (cpu.Model.Step -> hier.Access
-// -> cache/core.Tracker) re-expressed as one inlined per-reference state
-// machine over parallel arrays.
+// Package engine is the simulator's execution engine: the processor
+// timing model and memory hierarchy (cpu.Model.Step -> hier.Access ->
+// cache/core.Tracker, the reference loop) re-expressed as one inlined
+// per-reference state machine over parallel arrays. sim.Run drives every
+// run through it; the reference loop survives only as the executable
+// specification the tests compare it against.
 //
 // What changes relative to the reference implementation:
 //
@@ -28,9 +30,11 @@
 // step sampled runs alternate with detailed windows (RunFunctional, the
 // transcription of cpu.Model.RunFunctional over hier.AccessFunctional)
 // and the state copy segment-parallel sampling forks instances with
-// (Clone), so exact and sampled runs both take this engine. Audit mode,
-// event capture and custom hooks are deliberately unsupported — sim
-// selects the reference loop for those runs.
+// (Clone). The two optional hooks sit at the reference's own points:
+// generation events (SetEvents) are emitted where hier.Hierarchy emits
+// them, in the same order, and the lockstep auditor (SetAuditor) sees the
+// same demand, prefetch-issue and prefetch-fill calls. Both cost a nil
+// check per site when detached.
 package engine
 
 import (
@@ -43,6 +47,7 @@ import (
 	"timekeeping/internal/cpu"
 	"timekeeping/internal/decay"
 	"timekeeping/internal/dram"
+	"timekeeping/internal/events"
 	"timekeeping/internal/hier"
 	"timekeeping/internal/obs"
 	"timekeeping/internal/prefetch"
@@ -162,8 +167,28 @@ type Engine struct {
 	nl      *prefetch.NextLine
 
 	// needEvent is true when an attachment consumes *hier.AccessEvent
-	// (decay or a prefetcher); otherwise no event struct is built.
+	// (decay, a prefetcher or the auditor); otherwise no event struct is
+	// built.
 	needEvent bool
+
+	// --- Optional hooks (nil when detached) ---
+	events *events.Sink
+	// evFrames is the sink's per-frame set filter (nil = every frame):
+	// events on a filtered-out frame are never built.
+	evFrames []bool
+	// evRefs counts demand accesses not yet added to the sink's
+	// reference clock. The clock is read only when something emits, so
+	// syncRefs adds them in one step there instead of one atomic add per
+	// reference.
+	evRefs uint64
+	audit  hier.Auditor
+	// audEv and audL2 are the auditor's engine-owned copies of the current
+	// access event and L2 operation: handing the hot loop's stack values
+	// across the interface would move them to the heap on every reference,
+	// audited or not. audL2On marks a demand miss that reached the L2.
+	audEv   hier.AccessEvent
+	audL2   hier.L2Op
+	audL2On bool
 
 	// Reference lookahead buffer: Run pulls a sub-batch from the stream
 	// and warms each reference's hash-table cache lines before stepping
@@ -231,10 +256,11 @@ func New(cfg Config) *Engine {
 // stats all duplicate, so the clone and the original diverge freely.
 //
 // Attachments are deliberately dropped, as hier's Clone drops them: the
-// clone starts with no victim cache, tracker, decay evaluation or
-// prefetcher, and callers attach fresh instances (or clones) of their
-// own; as with hier, a fresh prefetcher belongs on a clone with no
-// prefetch fills in flight, since only the issuer resolves their slots.
+// clone starts with no victim cache, tracker, decay evaluation,
+// prefetcher, event sink or auditor, and callers attach fresh instances
+// (or clones) of their own; as with hier, a fresh prefetcher belongs on
+// a clone with no prefetch fills in flight, since only the issuer
+// resolves their slots.
 // The progress handle is shared — obs.Progress is atomic.
 func (e *Engine) Clone() *Engine {
 	d := *e
@@ -254,6 +280,8 @@ func (e *Engine) Clone() *Engine {
 	d.pfIssuedN, d.pfUsefulN = 0, 0
 	d.victim, d.tracker, d.dec = nil, nil, nil
 	d.pf, d.tk, d.dbcp, d.nl = pfNone, nil, nil, nil
+	d.events, d.evFrames, d.evRefs = nil, nil, 0
+	d.audit, d.audL2On = nil, false
 	d.needEvent = false
 	return &d
 }
@@ -296,6 +324,43 @@ func (e *Engine) AttachNextLine(p *prefetch.NextLine) {
 
 // SetProgress attaches a live progress handle (nil detaches).
 func (e *Engine) SetProgress(p *obs.Progress) { e.prog = p }
+
+// SetEvents attaches the generation-event sink (nil detaches) and binds
+// the L1 geometry so the sink can stamp set indices. Untraced runs pay a
+// nil check per emit site and nothing else; a set-filtered capture builds
+// events only on the frames it keeps.
+func (e *Engine) SetEvents(s *events.Sink) {
+	e.events = s
+	s.Bind(e.cfg.Hier.L1.BlockBytes, e.cfg.Hier.L1.Sets(), e.cfg.Hier.L1.Ways)
+	e.evFrames = s.FrameFilter(e.cfg.Hier.L1.Sets(), e.cfg.Hier.L1.Ways)
+}
+
+// syncRefs brings the sink's reference clock up to date. It runs before
+// anything that may emit: the engine's own emit sites, the victim cache
+// and the decay evaluation, and the end of a run, after which spans read
+// the clock.
+func (e *Engine) syncRefs() {
+	if e.evRefs != 0 {
+		e.events.AdvanceRef(e.evRefs)
+		e.evRefs = 0
+	}
+}
+
+// traced reports whether an event on frame can be captured: a sink is
+// attached and its set filter keeps the frame.
+func (e *Engine) traced(frame int) bool {
+	return e.events != nil && (e.evFrames == nil || e.evFrames[frame])
+}
+
+// SetAuditor attaches the lockstep auditor (nil detaches). Demand
+// accesses are reported after the per-frame counter update and before
+// the observers; a prefetch's L2 fill at issue, and its L1 fill on
+// arrival. Only the detailed path audits: functional warming performs no
+// timing for the oracle to mirror.
+func (e *Engine) SetAuditor(a hier.Auditor) {
+	e.audit = a
+	e.needEvent = e.needEvent || a != nil
+}
 
 // Stats returns the hierarchy counters accumulated since ResetStats.
 func (e *Engine) Stats() hier.Stats { return e.stats }
@@ -368,6 +433,7 @@ func (e *Engine) run(ctx context.Context, s trace.Stream, maxRefs, subPerInst ui
 	defer func() {
 		e.prog.Add(done - reported)
 		e.flushCounters()
+		e.syncRefs()
 	}()
 	for done < maxRefs {
 		// Batch boundary: progress, counter flush, cancellation.
@@ -549,11 +615,14 @@ func (e *Engine) stepFunctional(r *trace.Ref, subPerInst uint64) {
 	e.record(e.idx, e.retireSub)
 }
 
-// access transcribes hier.Hierarchy.Access for the unaudited, untraced
-// case the engine supports.
+// access transcribes hier.Hierarchy.Access, its event emit sites and the
+// lockstep audit calls included.
 func (e *Engine) access(r *trace.Ref, now uint64) (doneAt uint64) {
 	if now > e.maxNow {
 		e.maxNow = now
+	}
+	if e.events != nil {
+		e.evRefs++
 	}
 	if len(e.pending) > 0 {
 		e.applyPendingFills(e.maxNow)
@@ -609,6 +678,9 @@ func (e *Engine) access(r *trace.Ref, now uint64) (doneAt uint64) {
 	if evp != nil {
 		evp.Done = doneAt
 	}
+	if e.traced(frame) {
+		e.emitAccess(now, block, frame, hit, doneAt, missKind)
+	}
 
 	// Per-frame counter hardware update, then the observers: observe's
 	// body, kept inline because an out-of-line call here costs the exact
@@ -630,10 +702,14 @@ func (e *Engine) access(r *trace.Ref, now uint64) (doneAt uint64) {
 		fc.prefetched = false
 		fc.lastAccess = now
 	}
+	if e.audit != nil {
+		e.auditDemand(evp)
+	}
 	if e.tracker != nil {
 		e.tracker.Observe(frame, now, block, hit, missKind, victimValid)
 	}
 	if e.dec != nil {
+		e.syncRefs()
 		e.dec.OnAccess(evp)
 	}
 	if e.pf != pfNone {
@@ -648,6 +724,28 @@ func (e *Engine) access(r *trace.Ref, now uint64) (doneAt uint64) {
 		e.issuePrefetches(now)
 	}
 	return doneAt
+}
+
+// emitAccess records a demand access as a Hit, or as the Fill that opens
+// a generation (carrying its miss class).
+func (e *Engine) emitAccess(now, block uint64, frame int, hit bool, doneAt uint64, kind classify.MissKind) {
+	ev := events.Event{Kind: events.Hit, Cycle: now, Block: block, Frame: int32(frame), A: doneAt}
+	if !hit {
+		ev.Kind, ev.B = events.Fill, uint64(kind)
+	}
+	e.syncRefs()
+	e.events.Emit(ev)
+}
+
+// auditDemand reports a demand access, and the L2 operation its miss
+// performed if any, to the auditor through the engine-owned copies.
+func (e *Engine) auditDemand(ev *hier.AccessEvent) {
+	e.audEv = *ev
+	var l2 *hier.L2Op
+	if e.audL2On {
+		l2, e.audL2On = &e.audL2, false
+	}
+	e.audit.AuditDemand(&e.audEv, l2)
 }
 
 // observe is the tail of an access, as access inlines it: the per-frame
@@ -677,6 +775,7 @@ func (e *Engine) observe(frame int, now, block uint64, hit bool, missKind classi
 		e.tracker.Observe(frame, now, block, hit, missKind, victimValid)
 	}
 	if e.dec != nil {
+		e.syncRefs()
 		e.dec.OnAccess(evp)
 	}
 	if e.pf != pfNone {
@@ -699,6 +798,9 @@ func (e *Engine) observe(frame int, now, block uint64, hit bool, missKind classi
 func (e *Engine) accessFunctional(r *trace.Ref, now uint64) {
 	if now > e.maxNow {
 		e.maxNow = now
+	}
+	if e.events != nil {
+		e.evRefs++
 	}
 	if len(e.pending) > 0 {
 		e.applyPendingFills(e.maxNow)
@@ -735,6 +837,9 @@ func (e *Engine) accessFunctional(r *trace.Ref, now uint64) {
 		missKind = e.missFunctional(block, write, now, frame, resVictim, evp)
 		victimValid = resVictim.Valid
 	}
+	if e.traced(frame) {
+		e.emitAccess(now, block, frame, hit, now, missKind)
+	}
 	e.observe(frame, now, block, hit, missKind, victimValid, evp)
 }
 
@@ -761,7 +866,7 @@ func (e *Engine) missFunctional(block uint64, write bool, now uint64, frame int,
 		}
 	}
 
-	if e.victim != nil && e.victim.Lookup(block, now) {
+	if e.victim != nil && e.lookupVictim(block, now) {
 		if evp != nil {
 			evp.VictimHit = true
 		}
@@ -786,7 +891,8 @@ func (e *Engine) missFunctional(block uint64, write bool, now uint64, frame int,
 }
 
 // evict reports a demand miss's displaced L1 block: it goes on the access
-// event and, with the frame's dead time, to the victim cache.
+// event and, with the frame's dead time, to offer (the Evict event and
+// the victim cache).
 func (e *Engine) evict(block, now uint64, frame int, resVictim cache.Victim, evp *hier.AccessEvent) {
 	fc := &e.fctr[frame]
 	var dead uint64
@@ -799,8 +905,8 @@ func (e *Engine) evict(block, now uint64, frame int, resVictim cache.Victim, evp
 	if evp != nil {
 		evp.Victim = resVictim
 	}
-	if e.victim != nil {
-		e.victim.Offer(hier.Eviction{
+	if e.victim != nil || e.traced(frame) {
+		e.offer(hier.Eviction{
 			Now:      now,
 			Victim:   resVictim,
 			Frame:    frame,
@@ -808,6 +914,25 @@ func (e *Engine) evict(block, now uint64, frame int, resVictim cache.Victim, evp
 			DeadTime: dead,
 			ZeroLive: fc.hits == 0,
 		})
+	}
+}
+
+// lookupVictim consults the victim cache, which may emit a VictimHit.
+func (e *Engine) lookupVictim(block, now uint64) bool {
+	e.syncRefs()
+	return e.victim.Lookup(block, now)
+}
+
+// offer records an L1 eviction's Evict event, then presents the eviction
+// to the victim cache.
+func (e *Engine) offer(ev hier.Eviction) {
+	if e.traced(ev.Frame) {
+		e.syncRefs()
+		e.events.Emit(events.Event{Kind: events.Evict, Cycle: ev.Now, Block: ev.Victim.Addr, Frame: int32(ev.Frame), A: ev.DeadTime, B: ev.Flags()})
+	}
+	if e.victim != nil {
+		e.syncRefs()
+		e.victim.Offer(ev)
 	}
 }
 
@@ -834,7 +959,7 @@ func (e *Engine) miss(block uint64, kind classify.MissKind, write bool, now uint
 		}
 	}
 
-	if e.victim != nil && e.victim.Lookup(block, now) {
+	if e.victim != nil && e.lookupVictim(block, now) {
 		if evp != nil {
 			evp.VictimHit = true
 		}
@@ -849,6 +974,10 @@ func (e *Engine) miss(block uint64, kind classify.MissKind, write bool, now uint
 	start := e.demandMSHR.allocate(now + e.cfg.Hier.L1HitLat)
 	_, busDone := e.busL2.Demand(start, e.cfg.Hier.L1.BlockBytes)
 	l2hit, _, l2victim := e.l2.access(block, write)
+	if e.audit != nil {
+		e.audL2 = hier.L2Op{Block: block, Write: write, Hit: l2hit, Victim: l2victim}
+		e.audL2On = true
+	}
 	var done uint64
 	if l2hit {
 		e.stats.L2Hits++
@@ -863,6 +992,11 @@ func (e *Engine) miss(block uint64, kind classify.MissKind, write bool, now uint
 		}
 	}
 	e.demandMSHR.commit(block, done)
+	// The occupancy mark belongs to no set, so any set filter drops it.
+	if e.events != nil && e.evFrames == nil {
+		e.syncRefs()
+		e.events.Emit(events.Event{Kind: events.MSHR, Cycle: now, Frame: -1, A: uint64(e.demandMSHR.n), B: uint64(e.cfg.Hier.DemandMSHRs)})
+	}
 	return done
 }
 
@@ -917,7 +1051,11 @@ func (e *Engine) issuePrefetches(now uint64) {
 		e.stats.Prefetches++
 		e.pfIssuedN++
 		_, busDone := e.busL2.Prefetch(now, e.cfg.Hier.L1.BlockBytes)
-		l2hit, _, _ := e.l2.fill(req.Block)
+		l2hit, _, l2victim := e.l2.fill(req.Block)
+		if e.audit != nil {
+			e.audL2 = hier.L2Op{Block: req.Block, Fill: true, Hit: l2hit, Victim: l2victim}
+			e.audit.AuditPrefetchIssue(now, &e.audL2)
+		}
 		var done uint64
 		if l2hit {
 			done = busDone + e.cfg.Hier.L2Lat
@@ -926,6 +1064,10 @@ func (e *Engine) issuePrefetches(now uint64) {
 			done = e.mem.Access(memBusDone)
 		}
 		e.prefetchMSHR.commit(req.Block, done)
+		if e.events != nil {
+			e.syncRefs()
+			e.events.Emit(events.Event{Kind: events.PrefetchIssue, Cycle: now, Block: req.Block, Frame: -1, A: done, B: req.ID})
+		}
 		e.pending = append(e.pending, pendingFill{req: req, arriveAt: done})
 	}
 }
@@ -957,14 +1099,25 @@ func (e *Engine) completePending(i int) {
 	e.pending = append(e.pending[:i], e.pending[i+1:]...)
 
 	hit, frame, resVictim := e.l1.fill(p.req.Block)
+	if e.audit != nil {
+		e.audit.AuditPrefetchFill(p.arriveAt, p.req.Block, !hit, resVictim)
+	}
+	if e.traced(frame) {
+		installed := uint64(0)
+		if !hit {
+			installed = 1
+		}
+		e.syncRefs()
+		e.events.Emit(events.Event{Kind: events.PrefetchFill, Cycle: p.arriveAt, Block: p.req.Block, Frame: int32(frame), A: installed, B: p.req.ID})
+	}
 	if !hit && resVictim.Valid {
 		fc := &e.fctr[frame]
 		var dead uint64
 		if fc.lastAccess < p.arriveAt {
 			dead = p.arriveAt - fc.lastAccess
 		}
-		if e.victim != nil {
-			e.victim.Offer(hier.Eviction{
+		if e.victim != nil || e.traced(frame) {
+			e.offer(hier.Eviction{
 				Now:      p.arriveAt,
 				Victim:   resVictim,
 				Frame:    frame,

@@ -23,7 +23,9 @@
 //     run can never grow memory without bound.
 //   - Per-set, address-range and event-kind filters are applied at emit
 //     time, so full-detail capture of a few sets stays cheap at corpus
-//     scale.
+//     scale. A set filter keeps only events on its sets: the demand-MSHR
+//     occupancy marks, which belong to no set, appear only in captures
+//     without one.
 //
 // Exporters render the captured ring as a Chrome trace-event JSON file
 // (Perfetto-compatible; each traced L1 frame is a track, live/dead
@@ -205,7 +207,8 @@ type Config struct {
 	Cap int
 	// Kinds selects event kinds (zero mask = all).
 	Kinds KindMask
-	// Sets, when non-empty, restricts capture to events on these L1 sets.
+	// Sets, when non-empty, restricts capture to events on these L1 sets;
+	// events with no set (MSHR occupancy marks) are then dropped too.
 	Sets []int
 	// BlockMin/BlockMax, when BlockMax > 0, restrict capture to events
 	// whose block address falls in [BlockMin, BlockMax].
@@ -257,8 +260,8 @@ func NewSink(cfg Config) *Sink {
 
 // Bind teaches the sink the L1 geometry so it can stamp (and filter by)
 // set indices: blockBytes and sets must be powers of two, ways >= 1. The
-// simulation driver calls this once before the run starts; events emitted
-// before Bind carry Set -1 and pass any set filter.
+// engine calls this once before the run starts; events emitted before
+// Bind carry Set -1 and no set filter applies to them.
 func (s *Sink) Bind(blockBytes, sets uint64, ways int) {
 	if s == nil {
 		return
@@ -285,14 +288,36 @@ func (s *Sink) Bind(blockBytes, sets uint64, ways int) {
 // Enabled reports whether the sink exists (the emit-site guard).
 func (s *Sink) Enabled() bool { return s != nil }
 
-// AdvanceRef advances the reference-index clock by one; the hierarchy
-// calls it once per demand L1 access, so every event carries the index of
-// the access it happened under.
-func (s *Sink) AdvanceRef() {
+// FrameFilter returns whether the set filter keeps events on each frame
+// of an L1 with the given sets and ways (frame = set*ways + way, as Bind
+// numbers them), or nil when it keeps every frame (no set filter, or no
+// sink). Emit applies the same test; an emit site on the per-reference
+// path consults the result to skip building events the filter would
+// drop, which is most of them in a capture of a few sets.
+func (s *Sink) FrameFilter(sets uint64, ways int) []bool {
+	if s == nil || len(s.cfg.Sets) == 0 {
+		return nil
+	}
+	keep := make([]bool, sets*uint64(ways))
+	for _, set := range s.cfg.Sets {
+		if set >= 0 && uint64(set) < sets {
+			for w := 0; w < ways; w++ {
+				keep[set*ways+w] = true
+			}
+		}
+	}
+	return keep
+}
+
+// AdvanceRef advances the reference-index clock by n demand L1 accesses,
+// so every event carries the index of the access it happened under. The
+// reference hierarchy advances it once per access; the engine adds up
+// its accesses and advances it before anything reads the clock.
+func (s *Sink) AdvanceRef(n uint64) {
 	if s == nil {
 		return
 	}
-	s.ref.Add(1)
+	s.ref.Add(n)
 }
 
 // Ref returns the current reference index.
@@ -324,8 +349,9 @@ func (s *Sink) Emit(ev Event) {
 		case ev.Block != 0:
 			ev.Set = int32((ev.Block >> g.shift) & g.setMask)
 		}
-		// Events with no set information (Set -1) pass any filter.
-		if g.keep != nil && ev.Set >= 0 && !g.keep[ev.Set] {
+		// A set filter keeps only its sets, so events with no set
+		// information (Set -1) fail it.
+		if g.keep != nil && (ev.Set < 0 || !g.keep[ev.Set]) {
 			return
 		}
 	}

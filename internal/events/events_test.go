@@ -1,6 +1,7 @@
 package events
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -14,7 +15,7 @@ func TestNilSinkNoOp(t *testing.T) {
 		t.Fatal("nil sink reports enabled")
 	}
 	s.Bind(32, 4, 2)
-	s.AdvanceRef()
+	s.AdvanceRef(1)
 	s.Emit(Event{Kind: Fill})
 	id := s.BeginSpan("x", 0)
 	if id != -1 {
@@ -24,7 +25,7 @@ func TestNilSinkNoOp(t *testing.T) {
 	if s.Len() != 0 || s.Ref() != 0 || s.Emitted() != 0 || s.Dropped() != 0 {
 		t.Fatal("nil sink holds state")
 	}
-	if s.Events() != nil || s.Spans() != nil {
+	if s.Events() != nil || s.Spans() != nil || s.FrameFilter(4, 2) != nil {
 		t.Fatal("nil sink returned data")
 	}
 	if err := s.WriteChromeTrace(nil); err == nil {
@@ -43,10 +44,10 @@ func TestDisabledPathAllocs(t *testing.T) {
 	ev := Event{Kind: Hit, Cycle: 1, Block: 0x40, Frame: 2}
 	allocs := testing.AllocsPerRun(1000, func() {
 		if s != nil {
-			s.AdvanceRef()
+			s.AdvanceRef(1)
 		}
 		s.Emit(ev)
-		s.AdvanceRef()
+		s.AdvanceRef(1)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled emit path allocates %v per op, want 0", allocs)
@@ -59,7 +60,7 @@ func TestEnabledPathAllocs(t *testing.T) {
 	s := NewSink(Config{Cap: 64})
 	ev := Event{Kind: Hit, Cycle: 1, Block: 0x40, Frame: 2}
 	allocs := testing.AllocsPerRun(1000, func() {
-		s.AdvanceRef()
+		s.AdvanceRef(1)
 		s.Emit(ev)
 	})
 	if allocs != 0 {
@@ -99,30 +100,33 @@ func TestKindFilter(t *testing.T) {
 }
 
 // TestSetFilter: after Bind, events are stamped with the set of their
-// frame (or block) and the set filter applies; events with no set
-// information pass any filter.
+// frame (or block) and the set filter keeps only its sets; events with no
+// set information (the MSHR occupancy marks) are dropped.
 func TestSetFilter(t *testing.T) {
 	s := NewSink(Config{Cap: 16, Sets: []int{1}})
 	s.Bind(32, 4, 2) // 4 sets, 2 ways: frames 2,3 are set 1
+	if got, want := s.FrameFilter(4, 2), []bool{false, false, true, true, false, false, false, false}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("frame filter = %v, want %v", got, want)
+	}
+	if f := NewSink(Config{Cap: 16}).FrameFilter(4, 2); f != nil {
+		t.Fatalf("a sink without a set filter keeps every frame, got %v", f)
+	}
 
 	s.Emit(Event{Kind: Fill, Frame: 0})                  // set 0: filtered
 	s.Emit(Event{Kind: Fill, Frame: 2})                  // set 1: kept
 	s.Emit(Event{Kind: Fill, Frame: 3})                  // set 1: kept
 	s.Emit(Event{Kind: Evict, Frame: -1, Block: 1 * 32}) // block in set 1: kept
 	s.Emit(Event{Kind: Evict, Frame: -1, Block: 2 * 32}) // block in set 2: filtered
-	s.Emit(Event{Kind: MSHR, Frame: -1})                 // no set info: kept
+	s.Emit(Event{Kind: MSHR, Frame: -1})                 // no set info: filtered
 
 	evs := s.Events()
-	if len(evs) != 4 {
-		t.Fatalf("set-filtered capture has %d events, want 4: %+v", len(evs), evs)
+	if len(evs) != 3 {
+		t.Fatalf("set-filtered capture has %d events, want 3: %+v", len(evs), evs)
 	}
-	for _, ev := range evs[:3] {
+	for _, ev := range evs {
 		if ev.Set != 1 {
 			t.Fatalf("kept event has set %d, want 1: %+v", ev.Set, ev)
 		}
-	}
-	if evs[3].Set != -1 {
-		t.Fatalf("setless event stamped %d, want -1", evs[3].Set)
 	}
 }
 
@@ -141,8 +145,8 @@ func TestBlockRangeFilter(t *testing.T) {
 func TestRefClock(t *testing.T) {
 	s := NewSink(Config{Cap: 16})
 	s.Emit(Event{Kind: Fill, Frame: -1})
-	s.AdvanceRef()
-	s.AdvanceRef()
+	s.AdvanceRef(1)
+	s.AdvanceRef(1)
 	s.Emit(Event{Kind: Hit, Frame: -1})
 	evs := s.Events()
 	if evs[0].Ref != 0 || evs[1].Ref != 2 {
@@ -200,7 +204,7 @@ func TestParseSets(t *testing.T) {
 func TestSpans(t *testing.T) {
 	s := NewSink(Config{Cap: 16})
 	outer := s.BeginSpan("run", 100)
-	s.AdvanceRef()
+	s.AdvanceRef(1)
 	inner := s.BeginSpan("warmup", 100)
 	s.EndSpan(inner, 500)
 	s.EndSpan(outer, 900)
@@ -235,7 +239,7 @@ func TestConcurrentEmit(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				s.AdvanceRef()
+				s.AdvanceRef(1)
 				s.Emit(Event{Kind: Hit, Cycle: uint64(i), Frame: int32(g)})
 				if i%100 == 0 {
 					id := s.BeginSpan("w", uint64(i))

@@ -130,8 +130,9 @@ type traceEvent struct {
 // whose generations appear as a green "live" slice followed by a red
 // "dead" slice (the paper's Figure 2/3 timeline); demand hits, prefetch
 // and victim-buffer activity are instant markers on the same track; MSHR
-// occupancy is a counter track; run spans appear on dedicated sim-clock
-// and wall-clock tracks. Sim cycles map to trace microseconds 1:1.
+// occupancy is a counter track (in captures without a set filter, which
+// drops the setless occupancy marks); run spans appear on dedicated
+// sim-clock and wall-clock tracks. Sim cycles map to trace microseconds 1:1.
 func (s *Sink) WriteChromeTrace(w io.Writer) error {
 	if s == nil {
 		return fmt.Errorf("events: no sink to export")

@@ -71,10 +71,6 @@ type Runner struct {
 	// Points satisfied from the cache emit nothing — the run never
 	// executed. Shared by every run this Runner resolves.
 	Events *events.Sink
-	// Engine selects the execution engine for every run (zero value:
-	// sim.EngineAuto). The engines are result-identical, so the choice
-	// does not affect cache keys — only how cache misses are computed.
-	Engine sim.Engine
 }
 
 // NewRunner returns a Runner at the default simulation scale over the full
@@ -137,7 +133,7 @@ func (r *Runner) run(config, bench string, opts sim.Options) (sim.Result, error)
 	res, _, err := r.cache().Do(r.ctx(), simcache.Key(bench, opts), func(ctx context.Context) (sim.Result, error) {
 		span := r.Events.BeginSpan(config+"/"+bench, 0)
 		defer r.Events.EndSpan(span, 0)
-		return sim.Run(ctx, sim.Spec{Workload: spec, Opts: opts, Engine: r.Engine})
+		return sim.Run(ctx, sim.Spec{Workload: spec, Opts: opts})
 	})
 	return res, err
 }

@@ -102,17 +102,9 @@ func EntryOf(bench string, opt sim.Options, res sim.Result) Entry {
 
 // Compute runs the benchmark under opt and assembles its entry.
 func Compute(bench string, opt sim.Options) (Entry, error) {
-	return ComputeEngine(bench, opt, sim.EngineAuto)
-}
-
-// ComputeEngine is Compute pinned to a specific execution engine. The
-// differential gate recomputes the corpus under both engines and demands
-// byte-identical entries.
-func ComputeEngine(bench string, opt sim.Options, eng sim.Engine) (Entry, error) {
 	res, err := sim.Run(context.Background(), sim.Spec{
 		Workload: workload.MustProfile(bench),
 		Opts:     opt,
-		Engine:   eng,
 	})
 	if err != nil {
 		return Entry{}, err

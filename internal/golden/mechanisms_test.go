@@ -4,8 +4,8 @@ import "testing"
 
 // TestMechanismsMatchGoldenCorpus regression-guards the mechanisms:
 // recomputing every point must reproduce testdata/golden/mechanisms.json
-// byte-for-byte. Under TK_AUDIT the same points run on the audited
-// reference loop, so the file anchors both engines.
+// byte-for-byte. Under TK_AUDIT the same points run audited, so the
+// oracle checks every mechanism the file pins.
 func TestMechanismsMatchGoldenCorpus(t *testing.T) {
 	want, err := MechFile.Load(Dir())
 	if err != nil {

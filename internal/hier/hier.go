@@ -4,6 +4,12 @@
 // paper's mechanisms plug into: observers (the timekeeping tracker),
 // a victim buffer (Section 4.2), and a prefetcher (Section 5.2).
 //
+// Hierarchy is the reference memory system: the executable specification
+// that internal/engine transcribes and the tests compare it against,
+// generation-event emit sites included. No production run drives it. The
+// shared vocabulary — Config, Stats, the attachment interfaces and the
+// Auditor hook the engine calls — lives here too.
+//
 // Timing model of a demand L1 miss:
 //
 //	issue -> +HitLat (miss detect) -> MSHR allocate -> L1/L2 bus ->
@@ -190,13 +196,13 @@ type L2Op struct {
 	Victim cache.Victim
 }
 
-// Auditor receives every functional-contents mutation of the hierarchy in
-// execution order, for lockstep verification against a reference model
-// (see internal/oracle). Calls arrive in the exact order the caches
-// mutate: prefetch fills installed before a demand reference precede its
-// AuditDemand, and prefetch issues follow it. The hierarchy only builds
-// L2Op values when an auditor is attached, so unaudited runs pay a nil
-// check and nothing else.
+// Auditor receives every functional-contents mutation of the memory
+// system in execution order, for lockstep verification against a
+// reference model (see internal/oracle). internal/engine calls it. Calls
+// arrive in the exact order the caches mutate: prefetch fills installed
+// before a demand reference precede its AuditDemand, and prefetch issues
+// follow it. The engine only builds L2Op values when an auditor is
+// attached, so unaudited runs pay a nil check and nothing else.
 type Auditor interface {
 	// AuditDemand reports a demand reference after the access completed.
 	// l2 is the L2 operation the miss performed, or nil when the miss
@@ -301,7 +307,6 @@ type Hierarchy struct {
 	victim     VictimBuffer
 	prefetcher Prefetcher
 	observers  []Observer
-	audit      Auditor
 	events     *events.Sink
 
 	pending []pendingFill
@@ -346,7 +351,7 @@ func (h *Hierarchy) Config() Config { return h.cfg }
 // the clone and original diverge freely afterwards.
 //
 // Attachments are deliberately NOT copied — the clone starts with no
-// victim buffer, prefetcher, observers, auditor, or event sink. Callers
+// victim buffer, prefetcher, observers or event sink. Callers
 // that need them (segment-parallel sampling) construct and attach fresh
 // instances per clone; sharing the original's attachments would alias
 // their internal state across instances. In-flight fills carry their
@@ -386,9 +391,6 @@ func (h *Hierarchy) AttachPrefetcher(p Prefetcher) { h.prefetcher = p }
 // AddObserver registers an access observer.
 func (h *Hierarchy) AddObserver(o Observer) { h.observers = append(h.observers, o) }
 
-// SetAuditor attaches the lockstep auditor (nil detaches).
-func (h *Hierarchy) SetAuditor(a Auditor) { h.audit = a }
-
 // SetEvents attaches the generation-event sink (nil detaches) and binds
 // the L1 geometry so the sink can stamp set indices. Untraced runs pay a
 // nil check per emit site and nothing else.
@@ -420,7 +422,7 @@ func (h *Hierarchy) Access(r trace.Ref, issueAt uint64) (doneAt uint64) {
 		h.maxNow = now
 	}
 	if h.events != nil {
-		h.events.AdvanceRef()
+		h.events.AdvanceRef(1)
 	}
 	h.applyPendingFills(h.maxNow)
 
@@ -459,7 +461,6 @@ func (h *Hierarchy) Access(r trace.Ref, issueAt uint64) (doneAt uint64) {
 		Hit:   res.Hit,
 	}
 
-	var l2op *L2Op
 	switch {
 	case res.Hit && merged:
 		// Secondary miss: data arrives when the outstanding fill does.
@@ -472,7 +473,7 @@ func (h *Hierarchy) Access(r trace.Ref, issueAt uint64) (doneAt uint64) {
 		doneAt = now + h.cfg.L1HitLat
 		h.stats.Hits++
 	default:
-		doneAt, l2op = h.miss(&ev, res, block, missKind, write, now)
+		doneAt = h.miss(&ev, res, block, missKind, write, now)
 	}
 	ev.Done = doneAt
 	if h.events != nil {
@@ -502,9 +503,6 @@ func (h *Hierarchy) Access(r trace.Ref, issueAt uint64) (doneAt uint64) {
 		fs.lastAccess = now
 	}
 
-	if h.audit != nil {
-		h.audit.AuditDemand(&ev, l2op)
-	}
 	for _, o := range h.observers {
 		o.OnAccess(&ev)
 	}
@@ -519,10 +517,8 @@ func (h *Hierarchy) Access(r trace.Ref, issueAt uint64) (doneAt uint64) {
 	return doneAt
 }
 
-// miss handles the L1 miss path and returns the data-ready time, plus the
-// L2 operation performed (built only when an auditor is attached; nil when
-// the miss never reached the L2).
-func (h *Hierarchy) miss(ev *AccessEvent, res cache.Result, block uint64, kind classify.MissKind, write bool, now uint64) (uint64, *L2Op) {
+// miss handles the L1 miss path and returns the data-ready time.
+func (h *Hierarchy) miss(ev *AccessEvent, res cache.Result, block uint64, kind classify.MissKind, write bool, now uint64) uint64 {
 	h.stats.Misses++
 	ev.MissKind = kind
 	switch kind {
@@ -554,7 +550,7 @@ func (h *Hierarchy) miss(ev *AccessEvent, res cache.Result, block uint64, kind c
 		}
 		ev.Victim = res.Victim
 		if h.events != nil {
-			h.events.Emit(events.Event{Kind: events.Evict, Cycle: now, Block: res.Victim.Addr, Frame: int32(res.Frame), A: dead, B: evictFlags(&evict)})
+			h.events.Emit(events.Event{Kind: events.Evict, Cycle: now, Block: res.Victim.Addr, Frame: int32(res.Frame), A: dead, B: evict.Flags()})
 		}
 		if h.victim != nil {
 			h.victim.Offer(evict)
@@ -570,22 +566,18 @@ func (h *Hierarchy) miss(ev *AccessEvent, res cache.Result, block uint64, kind c
 	if h.victim != nil && h.victim.Lookup(block, now) {
 		ev.VictimHit = true
 		h.stats.VictimHits++
-		return now + h.cfg.L1HitLat + 1, nil
+		return now + h.cfg.L1HitLat + 1
 	}
 
 	// Limit study: non-cold misses are free.
 	if h.cfg.PerfectL1 && kind != classify.Cold {
-		return now + h.cfg.L1HitLat, nil
+		return now + h.cfg.L1HitLat
 	}
 
 	// Real fetch from L2/memory.
 	start := h.demandMSHR.Allocate(block, now+h.cfg.L1HitLat)
 	_, busDone := h.busL2.Demand(start, h.cfg.L1.BlockBytes)
 	l2res := h.l2.Access(block, write)
-	var l2op *L2Op
-	if h.audit != nil {
-		l2op = &L2Op{Block: block, Write: write, Hit: l2res.Hit, Victim: l2res.Victim}
-	}
 	var done uint64
 	if l2res.Hit {
 		h.stats.L2Hits++
@@ -603,11 +595,11 @@ func (h *Hierarchy) miss(ev *AccessEvent, res cache.Result, block uint64, kind c
 	if h.events != nil {
 		h.events.Emit(events.Event{Kind: events.MSHR, Cycle: now, Frame: -1, A: uint64(h.demandMSHR.Len()), B: uint64(h.cfg.DemandMSHRs)})
 	}
-	return done, l2op
+	return done
 }
 
-// evictFlags packs an Eviction's booleans into an events payload.
-func evictFlags(ev *Eviction) uint64 {
+// Flags packs the eviction's booleans into an Evict event's payload.
+func (ev Eviction) Flags() uint64 {
 	var f uint64
 	if ev.ZeroLive {
 		f |= events.EvictZeroLive
@@ -629,14 +621,13 @@ func evictFlags(ev *Eviction) uint64 {
 // timing simulation: no MSHR merging, no bus or DRAM occupancy, and
 // misses complete instantly (Done == Now). Non-cold misses carry
 // classify.Unclassified because the shadow cache's LRU order is not
-// maintained on this path (cold detection stays exact). It must not be
-// used with an auditor attached: the oracle replays detailed semantics.
+// maintained on this path (cold detection stays exact).
 func (h *Hierarchy) AccessFunctional(r trace.Ref, now uint64) {
 	if now > h.maxNow {
 		h.maxNow = now
 	}
 	if h.events != nil {
-		h.events.AdvanceRef()
+		h.events.AdvanceRef(1)
 	}
 	if len(h.pending) > 0 {
 		h.applyPendingFills(h.maxNow)
@@ -729,7 +720,7 @@ func (h *Hierarchy) missFunctional(ev *AccessEvent, res cache.Result, block uint
 			ZeroLive: fs.hits == 0,
 		}
 		if h.events != nil {
-			h.events.Emit(events.Event{Kind: events.Evict, Cycle: now, Block: res.Victim.Addr, Frame: int32(res.Frame), A: dead, B: evictFlags(&evict)})
+			h.events.Emit(events.Event{Kind: events.Evict, Cycle: now, Block: res.Victim.Addr, Frame: int32(res.Frame), A: dead, B: evict.Flags()})
 		}
 		if h.victim != nil {
 			h.victim.Offer(evict)
@@ -797,9 +788,6 @@ func (h *Hierarchy) issuePrefetches(now uint64) {
 		ctrPFIssued.Inc()
 		_, busDone := h.busL2.Prefetch(now, h.cfg.L1.BlockBytes)
 		l2res := h.l2.Fill(req.Block)
-		if h.audit != nil {
-			h.audit.AuditPrefetchIssue(now, &L2Op{Block: req.Block, Fill: true, Hit: l2res.Hit, Victim: l2res.Victim})
-		}
 		var done uint64
 		if l2res.Hit {
 			done = busDone + h.cfg.L2Lat
@@ -843,9 +831,6 @@ func (h *Hierarchy) completePending(i int) {
 	h.pending = append(h.pending[:i], h.pending[i+1:]...)
 
 	res := h.l1.Fill(p.req.Block)
-	if h.audit != nil {
-		h.audit.AuditPrefetchFill(p.arriveAt, p.req.Block, !res.Hit, res.Victim)
-	}
 	if h.events != nil {
 		installed := uint64(0)
 		if !res.Hit {
@@ -869,7 +854,7 @@ func (h *Hierarchy) completePending(i int) {
 			Prefetch: true,
 		}
 		if h.events != nil {
-			h.events.Emit(events.Event{Kind: events.Evict, Cycle: p.arriveAt, Block: res.Victim.Addr, Frame: int32(res.Frame), A: dead, B: evictFlags(&evict)})
+			h.events.Emit(events.Event{Kind: events.Evict, Cycle: p.arriveAt, Block: res.Victim.Addr, Frame: int32(res.Frame), A: dead, B: evict.Flags()})
 		}
 		if h.victim != nil {
 			h.victim.Offer(evict)

@@ -1,5 +1,5 @@
-// The Auditor replays every functional-contents mutation of the timing
-// hierarchy through the oracle in lockstep and fails fast — at the exact
+// The Auditor replays every functional-contents mutation of the engine's
+// memory system through the oracle in lockstep and fails fast — at the exact
 // reference — on any divergence: hit/miss classification, eviction choice
 // (address and dirty bit, both levels), cold-miss classification, the
 // miss-path gating rules, and the timekeeping invariants kept by the
@@ -19,7 +19,7 @@ import (
 )
 
 // Divergence is a disagreement between the timing model and the oracle.
-// The Auditor panics with one (the hierarchy has no error path mid-access);
+// The Auditor panics with one (the engine has no error path mid-access);
 // sim recovers it into an ordinary error.
 type Divergence struct {
 	Check  string // which comparison failed
@@ -73,7 +73,9 @@ type Summary struct {
 }
 
 // Auditor implements hier.Auditor over the functional oracle. Construct
-// with NewAuditor and attach with (*hier.Hierarchy).SetAuditor.
+// with NewAuditor and attach with (*engine.Engine).SetAuditor; sim does
+// both for every audited run, so the oracle checks the engine every run
+// takes.
 type Auditor struct {
 	cfg  Config
 	l1   *Cache

@@ -1,8 +1,8 @@
 // Package oracle is the correctness layer of the simulator: a small,
 // obviously-correct functional re-implementation of the memory hierarchy
 // (set-associative LRU L1/L2, no timing, no MSHRs, no predictors) plus a
-// generation-lifetime bookkeeper, replayed in lockstep with the timing
-// model under sim.Options.Audit.
+// generation-lifetime bookkeeper, replayed in lockstep with the engine's
+// timing model under sim.Options.Audit.
 //
 // The structure follows the two standard cross-validation patterns for
 // cache simulators: CacheQuery-style differential testing of replacement

@@ -69,6 +69,10 @@ func (r Reference) Now() uint64 { return r.CPU.Now() }
 // Stats implements Machine.
 func (r Reference) Stats() hier.Stats { return r.Hier.Stats() }
 
+// ResetStats clears the hierarchy's window counters, as
+// (*engine.Engine).ResetStats does.
+func (r Reference) ResetStats() { r.Hier.ResetStats() }
+
 // Config hands the engine an assembled simulation.
 type Config struct {
 	Machine Machine

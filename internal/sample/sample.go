@@ -12,8 +12,9 @@
 // The package provides the sampling policy (the JSON-stable knob set that
 // keys result caching), the estimator arithmetic, and the schedules that
 // drive an assembled simulation through the Machine interface (see Run):
-// the batched engine (internal/engine) in the default case, or the
-// reference cpu.Model/hier.Hierarchy pair through Reference.
+// the batched engine (internal/engine) on every production run, or the
+// reference cpu.Model/hier.Hierarchy pair through Reference when tests
+// compare the two.
 package sample
 
 import (

@@ -1,9 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"net/http"
-	"os"
+	"strings"
 	"testing"
 
 	"timekeeping/pkg/api"
@@ -25,11 +26,6 @@ func TestCapabilities(t *testing.T) {
 	c, err := cl.Capabilities(context.Background())
 	if err != nil {
 		t.Fatal(err)
-	}
-	for _, eng := range []string{"auto", "fast", "reference"} {
-		if !has(c.Engines, eng) {
-			t.Errorf("engines %v missing %q", c.Engines, eng)
-		}
 	}
 	if !has(c.Benches, "mcf") || !has(c.Benches, "gcc") {
 		t.Errorf("benches %v missing suite members", c.Benches)
@@ -67,74 +63,53 @@ func TestCapabilitiesAdvertiseEvents(t *testing.T) {
 	}
 }
 
+// TestRunEngineSelection: the deprecated engine field still accepts every
+// name old clients send, and ignores it — each names the same run, so all
+// of them resolve to one cache entry.
 func TestRunEngineSelection(t *testing.T) {
 	_, _, cl := newTestServer(t, Config{})
 
-	req := fastRun
-	req.Engine = "reference"
-	j, err := cl.Run(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Result == nil || j.Result.Engine != "reference" {
-		t.Fatalf("result engine = %+v, want reference", j.Result)
-	}
-
-	// The engine is not part of the cache key: the same configuration
-	// requested under the other engine is a cache hit, and the view
-	// records the engine that actually produced the stored result.
-	req.Engine = "fast"
-	j2, err := cl.Run(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j2.Cache != api.CacheHit {
-		t.Fatalf("engine change broke cache keying: cache = %q, want hit", j2.Cache)
-	}
-	if j2.Result.Engine != "reference" {
-		t.Fatalf("cached result engine = %q, want the producer's (reference)", j2.Result.Engine)
+	for i, eng := range []string{"", "auto", "fast", "reference"} {
+		req := fastRun
+		req.Engine = eng
+		j, err := cl.Run(context.Background(), req)
+		if err != nil {
+			t.Fatalf("engine %q: %v", eng, err)
+		}
+		want := api.CacheHit
+		if i == 0 {
+			want = api.CacheMiss
+		}
+		if j.Cache != want || j.Result == nil {
+			t.Fatalf("engine %q: cache = %q, result %+v; want %q with a result", eng, j.Cache, j.Result, want)
+		}
 	}
 }
 
 func TestRunEngineErrors(t *testing.T) {
-	_, _, cl := newTestServer(t, Config{})
+	_, _, cl := newTestServer(t, Config{Events: true})
 
 	req := fastRun
 	req.Engine = "turbo"
 	_, err := cl.Run(context.Background(), req)
 	ae := apiError(t, err)
-	if ae.HTTPStatus != http.StatusBadRequest || !has(ae.Accepted, "fast") {
+	if ae.Code != api.CodeBadRequest || ae.HTTPStatus != http.StatusBadRequest || !has(ae.Accepted, "fast") {
 		t.Fatalf("unknown engine: got %+v", ae)
 	}
 
-	// An explicit fast engine cannot carry reference-only
-	// instrumentation; the request is rejected up front.
-	req = fastRun
+	// A legacy engine name no longer constrains the run: "fast" with event
+	// capture runs and captures.
+	req = eventsRun
 	req.Engine = "fast"
-	req.Events = true
-	_, err = cl.Run(context.Background(), req)
-	ae = apiError(t, err)
-	if ae.Code != api.CodeBadRequest || ae.HTTPStatus != http.StatusBadRequest {
-		t.Fatalf("fast+events: got %+v", ae)
-	}
-
-	// Sampling is not such instrumentation: the fast engine runs it —
-	// unless TK_AUDIT pins every run to the reference loop, which then
-	// refuses an explicit fast engine for any run.
-	req = fastRun
-	req.Engine = "fast"
-	req.Sampling = &api.SamplingPolicy{DetailedRefs: 1000, WarmRefs: 1000}
 	j, err := cl.Run(context.Background(), req)
-	if os.Getenv("TK_AUDIT") != "" {
-		if err == nil {
-			t.Fatal("fast+sampling ran under TK_AUDIT, which pins every run to the reference loop")
-		}
-		return
-	}
 	if err != nil {
-		t.Fatalf("fast+sampling: %v", err)
+		t.Fatalf("fast+events: %v", err)
 	}
-	if j.Result == nil || j.Result.Engine != "fast" || j.Result.Estimate == nil {
-		t.Fatalf("fast+sampling: got %+v, want a sampled result from the fast engine", j.Result)
+	var buf bytes.Buffer
+	if err := cl.JobEvents(context.Background(), j.ID, "jsonl", &buf); err != nil {
+		t.Fatalf("download jsonl: %v", err)
+	}
+	if !strings.Contains(buf.String(), `"kind":"fill"`) {
+		t.Fatalf("fast+events captured no fills:\n%.300s", buf.String())
 	}
 }

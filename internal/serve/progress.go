@@ -20,7 +20,7 @@ const defaultProgressInterval = 150 * time.Millisecond
 //
 // Jobs whose result comes from the shared cache (a "hit" or "joined"
 // outcome) finish without intermediate snapshots — only the simulating
-// job's Progress handle is wired into the reference loop. Their terminal
+// job's Progress handle is wired into the engine. Their terminal
 // frame still reports the run complete (RefsDone == RefsExpected, phase
 // done): handleRun backfills the progress handle when the cache answers.
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {

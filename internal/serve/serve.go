@@ -319,21 +319,42 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 // when ctx expires are cancelled. Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error { return s.mgr.shutdown(ctx) }
 
+// legacyEngines are the engine names old clients may still send. Every
+// run takes the one engine, so the field is checked and then ignored.
+var legacyEngines = []string{"auto", "fast", "reference"}
+
+// checkEngine accepts a deprecated engine name ("" or a legacy one) and
+// rejects any other value with a bad_request naming the accepted list.
+func checkEngine(name string) *api.Error {
+	if name == "" {
+		return nil
+	}
+	for _, n := range legacyEngines {
+		if name == n {
+			return nil
+		}
+	}
+	return &api.Error{
+		Code:     api.CodeBadRequest,
+		Message:  fmt.Sprintf("unknown engine %q (the field is deprecated and ignored)", name),
+		Accepted: legacyEngines,
+	}
+}
+
 // options resolves the request against the server's base configuration.
 // The *api.Error return carries the stable code and accepted-values list.
-func (s *Server) options(req api.RunRequest) (sim.Options, sim.Engine, *api.Error) {
+func (s *Server) options(req api.RunRequest) (sim.Options, *api.Error) {
 	opt := s.base
-	eng, err := sim.ParseEngine(req.Engine)
-	if err != nil {
-		return sim.Options{}, "", filterError(err)
+	if aerr := checkEngine(req.Engine); aerr != nil {
+		return sim.Options{}, aerr
 	}
 	vf, err := sim.ParseVictimFilter(req.Victim)
 	if err != nil {
-		return sim.Options{}, "", filterError(err)
+		return sim.Options{}, filterError(err)
 	}
 	pf, err := sim.ParsePrefetcher(req.Prefetch)
 	if err != nil {
-		return sim.Options{}, "", filterError(err)
+		return sim.Options{}, filterError(err)
 	}
 	opt.VictimFilter = vf
 	opt.Prefetcher = pf
@@ -355,30 +376,11 @@ func (s *Server) options(req api.RunRequest) (sim.Options, sim.Engine, *api.Erro
 	if req.Sampling != nil {
 		pol := samplingPolicy(req.Sampling)
 		if aerr := checkSampling(pol, opt.Audit); aerr != nil {
-			return sim.Options{}, "", aerr
+			return sim.Options{}, aerr
 		}
 		opt.Sampling = pol
 	}
-	// Reject an explicit fast-engine request up front when the run needs
-	// instrumentation only the reference loop carries, instead of failing
-	// the job at run time.
-	if eng == sim.EngineFast {
-		reason := ""
-		switch {
-		case req.Events:
-			reason = "event capture"
-		case opt.Audit:
-			reason = "audit mode"
-		}
-		if reason != "" {
-			return sim.Options{}, "", &api.Error{
-				Code: api.CodeBadRequest,
-				Message: fmt.Sprintf("engine %q cannot run with %s (use %q or %q)",
-					sim.EngineFast, reason, sim.EngineAuto, sim.EngineReference),
-			}
-		}
-	}
-	return opt, eng, nil
+	return opt, nil
 }
 
 // samplingPolicy converts the wire policy to the simulator's.
@@ -471,7 +473,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	opt, eng, aerr := s.options(req)
+	opt, aerr := s.options(req)
 	if aerr != nil {
 		writeError(w, http.StatusBadRequest, aerr)
 		return
@@ -548,7 +550,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		span := j.events.BeginSpan("resolve "+spec.Name, 0)
 		rstart := time.Now()
 		res, outcome, err := s.cache.DoStaged(ctx, key, func(ctx context.Context) (sim.Result, error) {
-			return sim.Run(ctx, sim.Spec{Workload: spec, Opts: opt, Engine: eng})
+			return sim.Run(ctx, sim.Spec{Workload: spec, Opts: opt})
 		}, s.stageObserver(j))
 		rend := time.Now()
 		j.events.EndSpan(span, res.CPU.Cycles)
@@ -626,12 +628,10 @@ func (s *Server) CacheKey(req api.RunRequest) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	opt, _, aerr := s.options(req)
+	opt, aerr := s.options(req)
 	if aerr != nil {
 		return "", aerr
 	}
-	// The engine is deliberately absent from the key: the engines are
-	// proven result-identical, so either may satisfy a stored entry.
 	return simcache.Key(spec.Name, opt), nil
 }
 
@@ -695,9 +695,8 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, aerr)
 		return
 	}
-	eng, err := sim.ParseEngine(req.Engine)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, filterError(err))
+	if aerr := checkEngine(req.Engine); aerr != nil {
+		writeError(w, http.StatusBadRequest, aerr)
 		return
 	}
 
@@ -713,7 +712,6 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		rn := experiments.NewRunner()
 		rn.Cache = s.cache
 		rn.Ctx = ctx
-		rn.Engine = eng
 		rn.Opts.Progress = j.prog
 		if req.Warmup > 0 {
 			rn.Opts.WarmupRefs = req.Warmup

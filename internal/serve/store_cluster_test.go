@@ -68,14 +68,10 @@ func TestRestartDurability(t *testing.T) {
 	if second.Cache != api.CacheDisk {
 		t.Fatalf("post-restart cache = %q, want %q", second.Cache, api.CacheDisk)
 	}
-	// Stored results are engine-neutral: the cold run records the engine
-	// that produced it, the disk answer carries none.
-	if second.Result == nil || second.Result.Engine != "" {
-		t.Fatalf("disk-served result engine = %+v, want empty", second.Result)
+	if second.Result == nil {
+		t.Fatal("disk-served run returned no result")
 	}
-	cold := *first.Result
-	cold.Engine = ""
-	if !reflect.DeepEqual(&cold, second.Result) {
+	if !reflect.DeepEqual(first.Result, second.Result) {
 		t.Fatalf("disk tier returned a different result:\n  cold %+v\n  warm %+v", first.Result, second.Result)
 	}
 	if d := after["sim_l1_accesses_total"] - before["sim_l1_accesses_total"]; d != 0 {

@@ -13,7 +13,6 @@ func resultView(r *sim.Result) *api.ResultView {
 	l2Acc := h.L2Hits + h.L2Misses
 	v := &api.ResultView{
 		Bench:     r.Bench,
-		Engine:    string(r.Engine),
 		IPC:       r.CPU.IPC,
 		Insts:     r.CPU.Insts,
 		Cycles:    r.CPU.Cycles,

@@ -1,8 +1,9 @@
 package sim_test
 
-// TestEnginesAgreeOnCorpus is the differential gate between the two
-// execution engines: every benchmark in the suite runs once under the
-// reference loop and once under the batched SoA engine, with the
+// TestEnginesAgreeOnCorpus is the differential gate between the engine
+// and its executable specification: every benchmark in the suite runs
+// once under the reference loop (sim.RunReference) and once under the
+// batched SoA engine (sim.Run), with the
 // timekeeping tracker and a cache-decay evaluation attached and the
 // victim-cache / prefetcher / limit-study mechanisms rotated across
 // benchmarks, and the two sim.Results must be byte-identical in
@@ -14,7 +15,7 @@ package sim_test
 // This gate runs at a reduced reference count to keep its cost in check;
 // full corpus-scale anchoring comes for free from the golden regression
 // tests, whose on-disk entries were recorded under the reference loop and
-// are verified under the default (fast) engine.
+// are verified under the engine.
 
 import (
 	"bytes"
@@ -102,26 +103,22 @@ func TestEnginesAgreeOnCorpus(t *testing.T) {
 				sc := sc
 				t.Run(sc.name, func(t *testing.T) {
 					opt := gateOptions(i, sc.tune)
-					ref, err := sim.Run(context.Background(),
-						sim.Spec{Workload: spec, Opts: opt, Engine: sim.EngineReference})
+					ref, err := sim.RunReference(context.Background(), sim.Spec{Workload: spec, Opts: opt})
 					if err != nil {
 						t.Fatal(err)
 					}
-					fast, err := sim.Run(context.Background(),
-						sim.Spec{Workload: spec, Opts: opt, Engine: sim.EngineFast})
+					fast, err := sim.Run(context.Background(), sim.Spec{Workload: spec, Opts: opt})
 					if err != nil {
 						t.Fatal(err)
-					}
-					if ref.Engine != sim.EngineReference || fast.Engine != sim.EngineFast {
-						t.Fatalf("engine labels wrong: ref %q, fast %q", ref.Engine, fast.Engine)
 					}
 					if sc.tune != nil && ref.Estimate.Windows < 8 {
 						t.Fatalf("only %d windows; the gate needs at least 8", ref.Estimate.Windows)
 					}
+					// TK_AUDIT audits the engine's exact runs; the
+					// reference never audits.
+					fast.Audit = nil
 
-					// Canonical-JSON byte equality (Engine is json:"-", so
-					// the label itself is excluded — by design: results
-					// must be engine-neutral).
+					// Canonical-JSON byte equality.
 					rb, err := json.MarshalIndent(ref, "", " ")
 					if err != nil {
 						t.Fatal(err)

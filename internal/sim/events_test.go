@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"testing"
+	"time"
 
 	"timekeeping/internal/core"
 	"timekeeping/internal/cpu"
@@ -188,5 +191,122 @@ func TestEventsSampledRun(t *testing.T) {
 	}
 	if warm == 0 || windows < 2 {
 		t.Fatalf("sampled spans: %d functional-warm, %d windows", warm, windows)
+	}
+}
+
+// TestEngineEventsMatchReference is the event differential test: the
+// engine must emit the reference loop's generation events at the same
+// points and in the same order, so a capture is the same whichever
+// machine ran it. Each configuration runs on both with identical options,
+// and the events, the spans without their wall-clock stamps and the full
+// results must be equal.
+func TestEngineEventsMatchReference(t *testing.T) {
+	type config struct {
+		name  string
+		bench string
+		sets  []int
+		tune  func(*Options)
+	}
+	configs := []config{
+		{"twolf-timekeeping", "twolf", nil, func(o *Options) { o.Prefetcher = PrefetchTK }},
+		{"twolf-timekeeping-sets", "twolf", []int{0, 1, 2, 3}, func(o *Options) { o.Prefetcher = PrefetchTK }},
+		{"gcc-dbcp-decay-2way", "gcc", nil, func(o *Options) {
+			o.Prefetcher = PrefetchDBCP
+			o.VictimFilter = VictimDecay
+			o.DecayIntervals = []uint64{1 << 12, 1 << 15}
+			o.Hier.L1.Ways = 2
+		}},
+		{"facerec-nextline-collins-perfect", "facerec", nil, func(o *Options) {
+			o.Prefetcher = PrefetchNextLine
+			o.VictimFilter = VictimCollins
+			o.Hier.PerfectL1 = true
+		}},
+		{"eon-sampled", "eon", nil, func(o *Options) {
+			o.WarmupRefs, o.MeasureRefs = 5_000, 60_000
+			o.Sampling = &sample.Policy{DetailedRefs: 1024, WarmRefs: 8192, DetailedWarmRefs: 256}
+		}},
+	}
+	for _, c := range configs {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			capture := func(run func(context.Context, Spec) (Result, error)) (Result, *events.Sink) {
+				t.Helper()
+				opt := Default()
+				opt.Track = true
+				opt.WarmupRefs, opt.MeasureRefs = 10_000, 40_000
+				c.tune(&opt)
+				opt.Events = events.NewSink(events.Config{Cap: 1 << 18, Sets: c.sets})
+				res, err := run(context.Background(), Spec{Workload: workload.MustProfile(c.bench), Opts: opt})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, opt.Events
+			}
+			ref, refSink := capture(RunReference)
+			eng, engSink := capture(Run)
+
+			// TK_AUDIT audits the engine's exact runs; the reference never
+			// audits, so the audit summary and span name are set aside.
+			eng.Audit = nil
+			if !reflect.DeepEqual(ref, eng) {
+				t.Fatalf("results differ:\nreference %+v\nengine    %+v", ref, eng)
+			}
+			if refSink.Dropped() != 0 || refSink.Len() == 0 {
+				t.Fatalf("reference capture held %d events and dropped %d; the comparison needs all of them", refSink.Len(), refSink.Dropped())
+			}
+			if a, b := refSink.Events(), engSink.Events(); !reflect.DeepEqual(a, b) {
+				t.Fatalf("events differ: reference %d, engine %d; first difference %s", len(a), len(b), firstEventDiff(a, b))
+			}
+			simSpans := func(s *events.Sink) []events.Span {
+				spans := s.Spans()
+				for i := range spans {
+					spans[i].WallStart, spans[i].WallEnd = time.Time{}, time.Time{}
+					if spans[i].Name == "audited-run" {
+						spans[i].Name = "run"
+					}
+				}
+				return spans
+			}
+			if a, b := simSpans(refSink), simSpans(engSink); !reflect.DeepEqual(a, b) {
+				t.Fatalf("spans differ:\nreference %+v\nengine    %+v", a, b)
+			}
+		})
+	}
+}
+
+// firstEventDiff describes the first position where two event lists
+// differ.
+func firstEventDiff(a, b []events.Event) string {
+	for i := range a {
+		if i >= len(b) {
+			return fmt.Sprintf("at %d: engine ends, reference has %+v", i, a[i])
+		}
+		if a[i] != b[i] {
+			return fmt.Sprintf("at %d:\nreference %+v\nengine    %+v", i, a[i], b[i])
+		}
+	}
+	return fmt.Sprintf("at %d: reference ends, engine has %+v", len(a), b[len(a)])
+}
+
+// TestSetFilteredCaptureKeepsItsSets: a four-set capture of a default-
+// length twolf run fits the default ring. MSHR occupancy marks belong to
+// no set, so the filter drops them instead of letting them overwrite the
+// frame events it was asked for.
+func TestSetFilteredCaptureKeepsItsSets(t *testing.T) {
+	sink := events.NewSink(events.Config{Sets: []int{0, 1, 2, 3}})
+	opt := Default()
+	opt.Track = true
+	opt.Events = sink
+	if _, err := Run(context.Background(), Spec{Workload: workload.MustProfile("twolf"), Opts: opt}); err != nil {
+		t.Fatal(err)
+	}
+	if sink.Dropped() != 0 {
+		t.Fatalf("capture held %d events and dropped %d", sink.Len(), sink.Dropped())
+	}
+	for _, ev := range sink.Events() {
+		if ev.Set < 0 || ev.Set > 3 {
+			t.Fatalf("set filter kept an event off its sets: %+v", ev)
+		}
 	}
 }

@@ -1,16 +1,17 @@
 package sim_test
 
 // FuzzAuditedRun drives randomly shaped workloads and cache geometries
-// through a fully audited simulation. The oracle replays every reference in
-// lockstep, so any input the fuzzer finds where the timing model's
-// functional outcomes drift from a from-scratch LRU re-implementation — or
-// where the timekeeping identities break — fails immediately with the
-// divergent reference pinpointed. CI runs this as a short smoke
-// (-fuzztime=30s); longer local runs just need `go test -fuzz`.
+// through a fully audited simulation on the engine. The oracle replays
+// every reference in lockstep, so any input the fuzzer finds where the
+// engine's functional outcomes drift from a from-scratch LRU
+// re-implementation — or where the timekeeping identities break — fails
+// immediately with the divergent reference pinpointed. The same input
+// then runs on the reference loop, whose results must match exactly. CI
+// runs this as a short smoke (-fuzztime=30s); longer local runs just need
+// `go test -fuzz`.
 
 import (
 	"context"
-	"os"
 	"reflect"
 	"testing"
 
@@ -131,33 +132,18 @@ func FuzzAuditedRun(f *testing.F) {
 			t.Fatalf("audited %d refs, want %d", res.Audit.Refs, opt.WarmupRefs+opt.MeasureRefs)
 		}
 
-		// Cross-engine check: the same input through the batched SoA
-		// engine (which cannot carry the auditor) must reproduce the
-		// audited reference run's results exactly. Two oracles per input:
-		// the lockstep functional re-implementation above, and the
-		// independent engine rewrite here.
-		// TK_AUDIT forces auditing, which the fast engine cannot carry:
-		// there the request must be refused, and the comparison runs in
-		// the unaudited passes.
-		fopt := opt
-		fopt.Audit = false
-		fast, err := sim.Run(context.Background(),
-			sim.Spec{Workload: spec, Opts: fopt, Engine: sim.EngineFast})
-		if os.Getenv("TK_AUDIT") != "" {
-			if err == nil {
-				t.Fatal("fast engine ran under TK_AUDIT, which forces the audited reference loop")
-			}
-			return
-		}
+		// Cross-check: the same input through the reference loop, which
+		// never audits, must reproduce the audited engine run's results
+		// exactly. Two oracles per input: the lockstep functional
+		// re-implementation above, and the executable specification here.
+		ref, err := sim.RunReference(context.Background(), sim.Spec{Workload: spec, Opts: opt})
 		if err != nil {
-			t.Fatalf("fast engine run failed: %v", err)
+			t.Fatalf("reference run failed: %v", err)
 		}
-		want := res
-		want.Audit = nil
-		want.Engine = ""
-		fast.Engine = ""
-		if !reflect.DeepEqual(want, fast) {
-			t.Fatalf("fast engine diverges from audited reference run\nref:  %+v\nfast: %+v", want, fast)
+		got := res
+		got.Audit = nil
+		if !reflect.DeepEqual(ref, got) {
+			t.Fatalf("audited engine run diverges from the reference loop\nref:    %+v\nengine: %+v", ref, got)
 		}
 	})
 }

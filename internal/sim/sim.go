@@ -4,23 +4,22 @@
 // references, resets all statistics, then measures MeasureRefs references.
 //
 // Run accepts a Spec, which names the benchmark (or supplies an explicit
-// reference stream), carries the Options, and selects the execution
-// engine: the batched struct-of-arrays fast engine (internal/engine) or
-// the original reference loop (internal/cpu + internal/hier). Both
-// produce bit-identical results — exact and sampled, proven by the
-// differential gates over the full corpus — so EngineAuto picks the fast
-// engine for every exact and sampled run and falls back to the reference
-// loop only for audited runs (Options.Audit or TK_AUDIT) and
-// event-capturing runs, whose hooks live there. Sampled runs of both
-// engines share one assembly (runSampled), so the sampling schedules
-// drive either engine through the same code.
+// reference stream) and carries the Options, and drives it on the batched
+// struct-of-arrays engine (internal/engine): exact and sampled runs,
+// audited runs and event-capturing runs alike. Sampled runs share one
+// assembly (runSampled) across every sampling schedule.
+//
+// The original reference loop (internal/cpu + internal/hier +
+// core.Tracker) stays in runReference as the executable specification:
+// the engine differential gate, the fuzzers and the event differential
+// test hold the engine's results, generation events and spans equal to
+// it. Only tests reach it.
 package sim
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"os"
 	"strings"
 
@@ -46,11 +45,11 @@ import (
 var ErrSampledAudit = errors.New("sim: sampling cannot be combined with audit mode")
 
 // UnknownValueError reports a user-supplied enum value (victim filter,
-// prefetcher, engine) that is not one of the accepted names. Callers that
-// present errors structurally (the HTTP service's error envelope) read
-// Accepted; Error() renders the same list as text.
+// prefetcher) that is not one of the accepted names. Callers that present
+// errors structurally (the HTTP service's error envelope) read Accepted;
+// Error() renders the same list as text.
 type UnknownValueError struct {
-	Kind     string // "victim filter", "prefetcher" or "engine"
+	Kind     string // "victim filter" or "prefetcher"
 	Value    string
 	Accepted []string
 }
@@ -123,47 +122,6 @@ func ParsePrefetcher(s string) (Prefetcher, error) {
 	return "", &UnknownValueError{Kind: "prefetcher", Value: s, Accepted: names(Prefetchers())}
 }
 
-// Engine selects the execution engine that drives a run.
-type Engine string
-
-// Execution engines. The two engines implement the same transition
-// function and produce identical results; they differ only in speed and
-// in which optional instrumentation they support.
-const (
-	// EngineAuto picks EngineFast when the run's options allow it and
-	// EngineReference otherwise (audit, event capture). The zero value
-	// "" behaves like EngineAuto everywhere.
-	EngineAuto Engine = "auto"
-	// EngineFast is the batched struct-of-arrays engine
-	// (internal/engine). It rejects options it cannot honour.
-	EngineFast Engine = "fast"
-	// EngineReference is the original cpu.Model + hier.Hierarchy loop,
-	// kept as the executable specification: it supports every option and
-	// anchors the differential gate.
-	EngineReference Engine = "reference"
-)
-
-// Engines lists every concrete (non-auto) Engine value.
-func Engines() []Engine { return []Engine{EngineFast, EngineReference} }
-
-// ParseEngine validates a user-supplied engine name. Both "" and "auto"
-// parse to EngineAuto. The error names the accepted values.
-func ParseEngine(s string) (Engine, error) {
-	switch Engine(s) {
-	case Engine(""), EngineAuto:
-		return EngineAuto, nil
-	case EngineFast, EngineReference:
-		return Engine(s), nil
-	}
-	return "", &UnknownValueError{
-		Kind:  "engine",
-		Value: s,
-		Accepted: []string{
-			string(EngineAuto), string(EngineFast), string(EngineReference),
-		},
-	}
-}
-
 func names[T ~string](vals []T) []string {
 	out := make([]string, len(vals))
 	for i, v := range vals {
@@ -202,8 +160,9 @@ type Options struct {
 	// divergence in hit/miss classification, eviction choice, or
 	// timekeeping invariants. Roughly doubles simulation cost. The
 	// TK_AUDIT environment variable (any non-empty value) forces audit
-	// mode on for every run in the process. Audited runs always use the
-	// reference engine (the oracle hooks live in the reference loop).
+	// mode on for every exact run in the process. The engine carries the
+	// oracle hook itself, so an audited run checks the same code path
+	// every other run takes.
 	Audit bool
 
 	// DecayIntervals, when non-empty, attaches a cache-decay evaluation
@@ -224,9 +183,8 @@ type Options struct {
 	// cover the whole run and tracker metrics cover detailed windows.
 	// The field marshals (omitted when nil), so sampled and exact runs
 	// get distinct simcache keys. Incompatible with Audit — see
-	// ErrSampledAudit. Sampled runs take the fast engine like exact
-	// runs; segment instances clone it. Only event capture, TK_AUDIT or
-	// an explicit EngineReference send them to the reference loop.
+	// ErrSampledAudit; TK_AUDIT skips sampled runs with a warning.
+	// Segment instances clone the engine.
 	Sampling *sample.Policy `json:",omitempty"`
 
 	WarmupRefs  uint64
@@ -247,8 +205,9 @@ type Options struct {
 	// export as a Perfetto trace or JSONL. Like Progress it does not
 	// affect simulation behaviour and is excluded from content hashing —
 	// but note that a simcache hit therefore yields an empty capture (the
-	// run never executed). A multi-run job may share one sink. Capturing
-	// runs always use the reference engine (the hooks live there).
+	// run never executed). A multi-run job may share one sink. The engine
+	// emits at the reference loop's sites, in its order, so a capture
+	// costs no change of engine.
 	Events *events.Sink `json:"-"`
 }
 
@@ -266,11 +225,7 @@ func Default() Options {
 }
 
 // Spec describes one complete run: what to simulate (a workload profile
-// or an explicit reference stream), how (Options), and which engine
-// drives it. Engine deliberately lives here rather than in Options: the
-// engines produce identical results by construction, so the choice must
-// not change result identity — simcache.Key hashes Options only, and a
-// cached result answers requests for either engine.
+// or an explicit reference stream) and how (Options).
 type Spec struct {
 	// Workload names the benchmark profile; it supplies the reference
 	// stream (seeded by Opts.Seed) and the result label. Ignored when
@@ -294,9 +249,6 @@ type Spec struct {
 	Name string
 
 	Opts Options
-
-	// Engine selects the execution engine; the zero value is EngineAuto.
-	Engine Engine
 }
 
 // Result is everything a run produced over the measurement window.
@@ -304,11 +256,6 @@ type Result struct {
 	Bench string
 	CPU   cpu.Result
 	Hier  hier.Stats
-
-	// Engine records which execution engine produced the result. It is
-	// excluded from marshalling so cached results stay engine-neutral
-	// (both engines produce identical numbers; see Spec.Engine).
-	Engine Engine `json:"-"`
 
 	// TotalRefs counts every reference the run processed, including the
 	// warm-up window (CPU.Refs covers the measured window only).
@@ -348,9 +295,21 @@ func (r Result) VictimFillPerCycle() float64 {
 	return float64(r.Victim.Admitted) / float64(r.CPU.Cycles)
 }
 
-// Run simulates one Spec. When ctx is cancelled the simulation stops at
-// reference-loop granularity and returns ctx's error.
+// Run simulates one Spec on the engine. When ctx is cancelled the
+// simulation stops at reference-loop granularity and returns ctx's error.
 func Run(ctx context.Context, s Spec) (Result, error) {
+	return run(ctx, s, runFast)
+}
+
+// runFunc simulates a validated run: stream under opt, labelled name.
+// factory re-derives the (unfiltered) stream from its origin; it may be
+// nil, in which case the phase and segmented sampling schedules are
+// unavailable. Production runs take runFast; runReference is the tests'
+// oracle.
+type runFunc func(ctx context.Context, name string, stream trace.Stream, factory func() (trace.Stream, error), opt Options) (Result, error)
+
+// run validates s and hands it to simulate.
+func run(ctx context.Context, s Spec, simulate runFunc) (Result, error) {
 	opt := s.Opts
 	name := s.Name
 	stream := s.Stream
@@ -387,86 +346,7 @@ func Run(ctx context.Context, s Spec) (Result, error) {
 			return Result{}, ErrSampledAudit
 		}
 	}
-	eng, err := resolveEngine(s.Engine, opt)
-	if err != nil {
-		return Result{}, err
-	}
-
-	var res Result
-	if eng == EngineFast {
-		res, err = runFast(ctx, name, stream, factory, opt)
-	} else {
-		res, err = runReference(ctx, name, stream, factory, opt)
-	}
-	if err != nil {
-		return Result{}, err
-	}
-	res.Engine = eng
-	return res, nil
-}
-
-// fastEligible reports whether the fast engine can honour opt; when it
-// cannot, reason names the first blocking option.
-func fastEligible(opt Options) (ok bool, reason string) {
-	switch {
-	case opt.Audit:
-		return false, "audit hooks the lockstep oracle into the reference loop"
-	case auditForced():
-		return false, "TK_AUDIT forces lockstep auditing, which needs the reference loop"
-	case opt.Events != nil:
-		return false, "event capture hooks live in the reference loop"
-	}
-	return true, ""
-}
-
-// resolveEngine maps the requested engine to a concrete one, rejecting
-// an explicit EngineFast request the options cannot honour.
-func resolveEngine(e Engine, opt Options) (Engine, error) {
-	switch e {
-	case Engine(""), EngineAuto:
-		if ok, _ := fastEligible(opt); ok {
-			return EngineFast, nil
-		}
-		return EngineReference, nil
-	case EngineReference:
-		return EngineReference, nil
-	case EngineFast:
-		if ok, reason := fastEligible(opt); !ok {
-			return "", fmt.Errorf("sim: engine %q unavailable: %s (use %q or %q)",
-				EngineFast, reason, EngineAuto, EngineReference)
-		}
-		return EngineFast, nil
-	}
-	return "", &UnknownValueError{
-		Kind:  "engine",
-		Value: string(e),
-		Accepted: []string{
-			string(EngineAuto), string(EngineFast), string(EngineReference),
-		},
-	}
-}
-
-// RunContext simulates the benchmark under the given options.
-//
-// Deprecated: use Run with a Spec; this wrapper predates engine
-// selection and is kept for source compatibility.
-func RunContext(ctx context.Context, spec workload.Spec, opt Options) (Result, error) {
-	return Run(ctx, Spec{Workload: spec, Opts: opt})
-}
-
-// RunStream simulates an arbitrary reference stream (e.g. a saved trace
-// file) under the given options; name labels the result.
-//
-// Deprecated: use Run with a Spec carrying Stream and Name.
-func RunStream(name string, stream trace.Stream, opt Options) (Result, error) {
-	return Run(context.Background(), Spec{Name: name, Stream: stream, Opts: opt})
-}
-
-// RunStreamContext is RunStream with cancellation.
-//
-// Deprecated: use Run with a Spec carrying Stream and Name.
-func RunStreamContext(ctx context.Context, name string, stream trace.Stream, opt Options) (Result, error) {
-	return Run(ctx, Spec{Name: name, Stream: stream, Opts: opt})
+	return simulate(ctx, name, stream, factory, opt)
 }
 
 // newVictimCache builds the configured victim cache (nil when off);
@@ -579,19 +459,27 @@ type tracker interface {
 	Reset()
 }
 
-// rig is one assembled simulation instance, whichever engine drives it:
-// the machine that steps references and the mechanisms attached to it.
+// machine is what a rig drives: the sampling schedules' Machine plus the
+// statistics reset at an exact run's warm-up boundary.
+type machine interface {
+	sample.Machine
+	ResetStats()
+}
+
+// rig is one assembled simulation instance, engine or reference: the
+// machine that steps references and the mechanisms attached to it.
 type rig struct {
-	m       sample.Machine
+	m       machine
 	vc      *victim.Cache
 	pfs     prefetchers
 	tracker tracker
 	dec     *decay.Sim
 }
 
-// resetMechStats clears the mechanisms' measurement counters at the
-// warm-up boundary of an exact run, keeping all their state.
-func (r *rig) resetMechStats() {
+// resetStats clears the machine's and the mechanisms' measurement
+// counters at the warm-up boundary of an exact run, keeping all state.
+func (r *rig) resetStats() {
+	r.m.ResetStats()
 	if r.vc != nil {
 		r.vc.ResetStats()
 	}
@@ -681,22 +569,18 @@ func assembleReference(opt Options, h *hier.Hierarchy, m *cpu.Model, tr *core.Tr
 	return r, nil
 }
 
-// runReference drives the original cpu.Model + hier.Hierarchy loop. It
-// is the executable specification: every option works here, and the
-// differential gate measures the fast engine against its output. factory
-// re-derives the (unfiltered) stream from its origin; it may be nil, in
-// which case the phase and segmented sampling schedules are unavailable.
+// runReference drives the original cpu.Model + hier.Hierarchy loop, the
+// executable specification the engine is tested against. It captures
+// events at the hierarchy's own emit sites, but never audits, and its
+// core reports no progress: those hooks live in the engine alone.
 func runReference(ctx context.Context, name string, stream trace.Stream, factory func() (trace.Stream, error), opt Options) (Result, error) {
 	h := hier.New(opt.Hier)
-	if opt.Events != nil {
-		h.SetEvents(opt.Events)
-	}
+	h.SetEvents(opt.Events)
 	var tr *core.Tracker
 	if opt.Track {
 		tr = core.NewTracker(h.L1().NumFrames())
 	}
 	m := cpu.New(opt.CPU, h)
-	m.SetProgress(opt.Progress)
 	r, err := assembleReference(opt, h, m, tr, opt.Events)
 	if err != nil {
 		return Result{}, err
@@ -706,13 +590,6 @@ func runReference(ctx context.Context, name string, stream trace.Stream, factory
 	}
 
 	if opt.Sampling != nil {
-		// An explicit Audit was rejected in Run; TK_AUDIT-forced audit
-		// cannot apply (the functional path performs no timing for the
-		// oracle to mirror), so it is skipped with a warning.
-		if !opt.Audit && auditForced() {
-			slog.Warn("TK_AUDIT ignored: sampled runs cannot be audited (functional warming has no timing for the oracle to mirror)",
-				"bench", name)
-		}
 		fork := func() (*rig, error) {
 			h2 := h.Clone()
 			var tr2 *core.Tracker
@@ -723,25 +600,14 @@ func runReference(ctx context.Context, name string, stream trace.Stream, factory
 		}
 		return runSampled(ctx, name, r, fork, stream, factory, opt)
 	}
+	return runExact(ctx, name, r, stream, opt, nil)
+}
 
-	var aud *oracle.Auditor
-	if opt.Audit || auditForced() {
-		// The tracker and decay cross-checks are frame-keyed on the real
-		// side and block-keyed on the oracle side; the two agree only
-		// while no prefetcher swaps frame contents behind the observers'
-		// backs, so those comparisons gate on PrefetchOff. The lockstep
-		// contents checks are always on.
-		aud = oracle.NewAuditor(oracle.Config{
-			L1:             opt.Hier.L1,
-			L2:             opt.Hier.L2,
-			PerfectL1:      opt.Hier.PerfectL1,
-			DecayIntervals: opt.DecayIntervals,
-			CompareTracker: opt.Track && opt.Prefetcher == PrefetchOff,
-			CompareDecay:   opt.Prefetcher == PrefetchOff,
-		})
-		h.SetAuditor(aud)
-	}
-
+// runExact drives an exact run on an assembled rig: warm-up, the
+// statistics reset at its boundary, then the measurement window. aud,
+// when non-nil, is the lockstep auditor attached to the rig's machine.
+func runExact(ctx context.Context, name string, r *rig, stream trace.Stream, opt Options, aud *oracle.Auditor) (Result, error) {
+	m := r.m
 	// Progress: one Begin per run (Expected accumulates for multi-run
 	// jobs); the phase flips to measure at the warm-up boundary.
 	// PhaseDone is the job owner's call — a sweep runs many simulations
@@ -760,8 +626,7 @@ func runReference(ctx context.Context, name string, stream trace.Stream, factory
 	}
 
 	// Measurement window: reset statistics, keep all state.
-	h.ResetStats()
-	r.resetMechStats()
+	r.resetStats()
 	if aud != nil {
 		aud.ResetStats()
 	}
@@ -778,7 +643,7 @@ func runReference(ctx context.Context, name string, stream trace.Stream, factory
 	res := Result{
 		Bench:     name,
 		CPU:       final.Minus(warm),
-		Hier:      h.Stats(),
+		Hier:      m.Stats(),
 		TotalRefs: final.Refs,
 	}
 	r.outputs().report(&res)
@@ -791,8 +656,8 @@ func runReference(ctx context.Context, name string, stream trace.Stream, factory
 	return res, nil
 }
 
-// runSampled drives a sampled run on an assembled rig, whichever engine
-// it carries; sample owns the warm/measure alternation and the progress
+// runSampled drives a sampled run on an assembled rig, engine or
+// reference; sample owns the warm/measure alternation and the progress
 // lifecycle, and tracker metrics accumulate only inside detailed windows.
 // fork builds a segment instance off the rig's cold state (segmented
 // policies only). factory re-derives the unfiltered stream; it may be
@@ -856,8 +721,8 @@ func auditForced() bool { return os.Getenv("TK_AUDIT") != "" }
 
 // runPhase drives one simulation window, converting an oracle divergence
 // panic into an ordinary error: the auditor aborts the run at the exact
-// reference that diverged, and the hierarchy has no error path mid-access.
-func runPhase(ctx context.Context, m *cpu.Model, stream trace.Stream, n uint64) (res cpu.Result, err error) {
+// reference that diverged, and the engine has no error path mid-access.
+func runPhase(ctx context.Context, m sample.Machine, stream trace.Stream, n uint64) (res cpu.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if d, ok := r.(*oracle.Divergence); ok {
@@ -867,7 +732,7 @@ func runPhase(ctx context.Context, m *cpu.Model, stream trace.Stream, n uint64) 
 			panic(r)
 		}
 	}()
-	return m.RunContext(ctx, stream, n)
+	return m.Run(ctx, stream, n)
 }
 
 // MustRun is Run for known-good workload+options; it panics on error.

@@ -263,7 +263,7 @@ func TestTraceRoundTripMatchesDirectRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := RunStream("replay", rd, quick())
+	replayed, err := Run(context.Background(), Spec{Name: "replay", Stream: rd, Opts: quick()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,9 @@
 //
 // The views are deliberately plain data: no methods that recompute, no
 // references into the simulator's internal packages, so the JSON schema is
-// exactly what the structs say.
+// exactly what the structs say. Deprecated request fields (the Engine of
+// RunRequest and ExperimentRequest) stay in the schema so old clients keep
+// working: the server checks and ignores them.
 package api
 
 import "time"
@@ -83,12 +85,11 @@ type SamplingPolicy struct {
 // server's base options.
 type RunRequest struct {
 	Bench string `json:"bench"`
-	// Engine selects the execution engine: "auto" (or empty), "fast", or
-	// "reference". The engines are proven result-identical, exact and
-	// sampled runs alike, so the choice does not change the result-cache
-	// key; "fast" is rejected (bad_request) when the request needs
-	// instrumentation only the reference loop carries (event capture,
-	// audit).
+	// Engine is accepted for old clients and ignored: every run takes the
+	// one execution engine.
+	//
+	// Deprecated: the server accepts "", "auto", "fast" and "reference"
+	// and rejects any other value (bad_request, with the accepted list).
 	Engine         string `json:"engine,omitempty"`
 	Victim         string `json:"victim,omitempty"`
 	VictimEntries  int    `json:"victim_entries,omitempty"`
@@ -135,8 +136,9 @@ type ExperimentRequest struct {
 	// Sampling runs the whole sweep in statistical sampling mode (see
 	// RunRequest.Sampling).
 	Sampling *SamplingPolicy `json:"sampling,omitempty"`
-	// Engine selects the execution engine for every run in the sweep
-	// (see RunRequest.Engine).
+	// Engine is accepted for old clients and ignored.
+	//
+	// Deprecated: see RunRequest.Engine.
 	Engine string `json:"engine,omitempty"`
 	Async  bool   `json:"async,omitempty"`
 }
@@ -265,8 +267,6 @@ type BuildInfo struct {
 // the experiment catalogue, and which optional service features are
 // switched on.
 type Capabilities struct {
-	// Engines lists accepted RunRequest.Engine values ("auto" first).
-	Engines []string `json:"engines"`
 	// Benches is the workload suite (accepted RunRequest.Bench values).
 	Benches []string `json:"benches"`
 	// VictimFilters and Prefetchers list the accepted mechanism names
@@ -418,12 +418,8 @@ type EstimateView struct {
 
 // ResultView is everything one run produced over its measurement window.
 type ResultView struct {
-	Bench string `json:"bench"`
-	// Engine records which execution engine produced the result; empty
-	// when the result was answered from the durable store (stored
-	// results are engine-neutral — the engines are proven identical).
-	Engine string  `json:"engine,omitempty"`
-	IPC    float64 `json:"ipc"`
+	Bench string  `json:"bench"`
+	IPC   float64 `json:"ipc"`
 
 	Insts  uint64 `json:"insts"`
 	Cycles uint64 `json:"cycles"`
