@@ -134,7 +134,7 @@ func main() {
 	}
 	var sink *events.Sink
 	if *evOut != "" {
-		sink = events.NewSink(events.Config{Cap: *evCap})
+		sink = events.NewSink(events.Config{Cap: *evCap}, nil)
 		runner.Events = sink
 	}
 	if *benches != "" {
@@ -181,31 +181,13 @@ func main() {
 	}
 
 	if sink != nil {
-		if err := writeEvents(sink, *evOut); err != nil {
+		if err := sink.WriteFile(*evOut); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "events: %d spans, %d events (%d dropped) -> %s\n",
-			len(sink.Spans()), sink.Len(), sink.Dropped(), *evOut)
+			len(sink.Trace().Spans()), sink.Len(), sink.Dropped(), *evOut)
 	}
-}
-
-// writeEvents exports the capture: Chrome trace-event JSON by default,
-// compact JSONL when the path ends in .jsonl.
-func writeEvents(sink *events.Sink, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = sink.WriteJSONL(f)
-	} else {
-		err = sink.WriteChromeTrace(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // startProgressLine repaints a live sweep-progress line on stderr every

@@ -32,7 +32,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	"timekeeping/internal/caps"
 	"timekeeping/internal/events"
@@ -138,12 +137,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, kerr)
 			os.Exit(2)
 		}
-		sets, serr := events.ParseSets(*evSets)
+		sets, serr := events.ParseSets(*evSets, opt.Hier.L1.Sets())
 		if serr != nil {
 			fmt.Fprintln(os.Stderr, serr)
 			os.Exit(2)
 		}
-		sink = events.NewSink(events.Config{Cap: *evCap, Kinds: kinds, Sets: sets})
+		sink = events.NewSink(events.Config{Cap: *evCap, Kinds: kinds, Sets: sets}, nil)
 		opt.Events = sink
 	}
 
@@ -235,7 +234,7 @@ func main() {
 	}
 
 	if sink != nil {
-		if werr := writeEvents(sink, *evOut); werr != nil {
+		if werr := sink.WriteFile(*evOut); werr != nil {
 			fmt.Fprintln(os.Stderr, werr)
 			os.Exit(1)
 		}
@@ -343,22 +342,4 @@ func samplePolicyFromFlags(smp bool, ci float64, par, seg int, phase bool, phase
 		return nil, err
 	}
 	return pol, nil
-}
-
-// writeEvents exports the capture: Chrome trace-event JSON by default,
-// compact JSONL when the path ends in .jsonl.
-func writeEvents(sink *events.Sink, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = sink.WriteJSONL(f)
-	} else {
-		err = sink.WriteChromeTrace(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

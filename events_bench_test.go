@@ -3,7 +3,7 @@ package timekeeping
 // Overhead benchmarks for generation-event tracing: the same Figure 1
 // baseline run with capture off, with a set-filtered capture (the
 // intended interactive use: a handful of sets), and with a full capture.
-// CI records the three as BENCH_events.json; TestEventsOverhead is the
+// CI records the three as BENCH_events.txt; TestEventsOverhead is the
 // in-tree guard on the filtered configuration.
 
 import (
@@ -36,7 +36,7 @@ func runEventsBench(b *testing.B, cfg *events.Config) {
 	for i := 0; i < b.N; i++ {
 		opt := eventsBenchOptions()
 		if cfg != nil {
-			opt.Events = events.NewSink(*cfg)
+			opt.Events = events.NewSink(*cfg, nil)
 		}
 		res, err := sim.Run(context.Background(), sim.Spec{Workload: spec, Opts: opt})
 		if err != nil {
@@ -92,7 +92,7 @@ func TestEventsOverhead(t *testing.T) {
 		return func() {
 			opt := eventsBenchOptions()
 			if cfg != nil {
-				opt.Events = events.NewSink(*cfg)
+				opt.Events = events.NewSink(*cfg, nil)
 			}
 			if _, err := sim.Run(context.Background(), sim.Spec{Workload: spec, Opts: opt}); err != nil {
 				t.Fatal(err)

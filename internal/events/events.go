@@ -2,9 +2,11 @@
 // low-overhead sink that records cache-generation lifecycle events (fills,
 // demand hits, evictions with their dead times, decay, prefetch issue and
 // fill, victim-cache offer/admit/hit, MSHR occupancy marks) with both
-// sim-cycle and reference-index timestamps, plus run-level spans
-// (warm-up, measurement windows, functional-warming stretches,
-// per-experiment points) carrying wall-clock and sim-clock extents.
+// sim-cycle and reference-index timestamps. The sink also stamps run-level
+// spans (warm-up, measurement windows, functional-warming stretches,
+// per-experiment points) with their sim-cycle and reference extents and
+// records them as telemetry spans, on the job's request trace or on a
+// trace of the sink's own.
 //
 // Where internal/obs answers "how much" (counters, histograms), this
 // package answers "when": it makes a single generation — live time, dead
@@ -27,10 +29,11 @@
 //     occupancy marks, which belong to no set, appear only in captures
 //     without one.
 //
-// Exporters render the captured ring as a Chrome trace-event JSON file
+// Exporters render the captured ring and the trace's spans through
+// internal/telemetry's writers: a Chrome trace-event JSON file
 // (Perfetto-compatible; each traced L1 frame is a track, live/dead
-// generation intervals are colored slices) or as a compact JSONL stream
-// for programmatic consumption. See export.go.
+// generation intervals are colored slices) or a compact JSONL stream for
+// programmatic consumption. See export.go.
 package events
 
 import (
@@ -42,6 +45,7 @@ import (
 	"time"
 
 	"timekeeping/internal/obs"
+	"timekeeping/internal/telemetry"
 )
 
 // Process-cumulative tracing counters, rendered by tkserve's /metrics:
@@ -157,32 +161,32 @@ func ParseKinds(s string) (KindMask, error) {
 	return m, nil
 }
 
-// ParseSets parses a set filter: a comma-separated list whose elements are
-// single set indices ("5") or inclusive ranges ("0:3"). An empty string
-// means no filter (every set).
-func ParseSets(s string) ([]int, error) {
+// ParseSets parses a set filter for an L1 with the given number of sets:
+// a comma-separated list whose elements are single set indices ("5") or
+// inclusive ranges ("0:3"). An empty string means no filter (every set).
+// An index at or past the set count is an error naming the accepted range.
+func ParseSets(s string, sets uint64) ([]int, error) {
 	if s == "" {
 		return nil, nil
 	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
-		if lo, hi, ok := strings.Cut(part, ":"); ok {
-			a, err1 := strconv.Atoi(lo)
-			b, err2 := strconv.Atoi(hi)
-			if err1 != nil || err2 != nil || a < 0 || b < a {
-				return nil, fmt.Errorf("events: bad set range %q (want LO:HI with 0 <= LO <= HI)", part)
-			}
-			for i := a; i <= b; i++ {
-				out = append(out, i)
-			}
-			continue
+		lo, hi, isRange := strings.Cut(part, ":")
+		if !isRange {
+			hi = lo
 		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("events: bad set index %q", part)
+		a, err1 := strconv.Atoi(lo)
+		b, err2 := strconv.Atoi(hi)
+		switch {
+		case err1 != nil || err2 != nil || a < 0 || b < a:
+			return nil, fmt.Errorf("events: bad set filter element %q (want N or LO:HI with 0 <= LO <= HI)", part)
+		case uint64(b) >= sets:
+			return nil, fmt.Errorf("events: set filter element %q out of range (accepted: 0..%d; the L1 has %d sets)", part, sets-1, sets)
 		}
-		out = append(out, n)
+		for i := a; i <= b; i++ {
+			out = append(out, i)
+		}
 	}
 	return out, nil
 }
@@ -231,11 +235,12 @@ type geometry struct {
 	keep    []bool // per-set filter; nil = every set passes
 }
 
-// Sink records events and spans for one run (or one job). Construct with
-// NewSink; a nil *Sink is a valid no-op everywhere.
+// Sink records events for one run (or one job) and its run spans on a
+// trace. Construct with NewSink; a nil *Sink is a valid no-op everywhere.
 type Sink struct {
-	cfg  Config
-	geom atomic.Pointer[geometry] // set by Bind, immutable afterwards
+	cfg   Config
+	geom  atomic.Pointer[geometry] // set by Bind, immutable afterwards
+	trace *telemetry.Trace         // receives the run spans
 
 	ref atomic.Uint64 // reference-index clock, advanced by the hierarchy
 
@@ -245,17 +250,27 @@ type Sink struct {
 	n       int // entries filled
 	dropped uint64
 	emitted uint64
-	spans   []Span
-	open    int // spans with no End yet (diagnostic)
-	wall0   time.Time
 }
 
-// NewSink returns a sink capturing under the given configuration.
-func NewSink(cfg Config) *Sink {
+// NewSink returns a sink capturing under the given configuration. Its run
+// spans are recorded on tr (a job's request trace) or, when tr is nil, on
+// a trace of the sink's own.
+func NewSink(cfg Config, tr *telemetry.Trace) *Sink {
 	if cfg.Cap <= 0 {
 		cfg.Cap = DefaultCap
 	}
-	return &Sink{cfg: cfg, ring: make([]Event, cfg.Cap)}
+	if tr == nil {
+		tr = telemetry.New("", "", "local")
+	}
+	return &Sink{cfg: cfg, trace: tr, ring: make([]Event, cfg.Cap)}
+}
+
+// Trace returns the trace holding the sink's run spans.
+func (s *Sink) Trace() *telemetry.Trace {
+	if s == nil {
+		return nil
+	}
+	return s.trace
 }
 
 // Bind teaches the sink the L1 geometry so it can stamp (and filter by)
@@ -429,70 +444,25 @@ func (s *Sink) Events() []Event {
 	return out
 }
 
-// Span is one run-level interval — a functional-warming stretch, a
-// detailed measurement window, an audited run, or one experiment point —
-// carrying both clocks: sim cycles (zero extent for spans that aggregate
-// several runs, like experiment points) and wall time.
-type Span struct {
-	Name               string
-	SimStart, SimEnd   uint64
-	RefStart, RefEnd   uint64
-	WallStart, WallEnd time.Time
-}
-
-// SpanID identifies an open span; -1 is the nil-sink no-op ID.
-type SpanID int
-
-// BeginSpan opens a span at the given sim cycle (its reference index and
-// wall clock are stamped by the sink) and returns its ID.
-func (s *Sink) BeginSpan(name string, simCycle uint64) SpanID {
-	if s == nil {
-		return -1
-	}
-	now := time.Now()
-	ref := s.ref.Load()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.wall0.IsZero() {
-		s.wall0 = now
-	}
-	s.spans = append(s.spans, Span{
-		Name:      name,
-		SimStart:  simCycle,
-		RefStart:  ref,
-		WallStart: now,
-	})
-	s.open++
-	return SpanID(len(s.spans) - 1)
-}
-
-// EndSpan closes the span at the given sim cycle. A second End on the
-// same span, or an End on the nil-sink ID, is a no-op.
-func (s *Sink) EndSpan(id SpanID, simCycle uint64) {
-	if s == nil || id < 0 {
-		return
-	}
-	now := time.Now()
-	ref := s.ref.Load()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if int(id) >= len(s.spans) || !s.spans[id].WallEnd.IsZero() {
-		return
-	}
-	sp := &s.spans[id]
-	sp.SimEnd = simCycle
-	sp.RefEnd = ref
-	sp.WallEnd = now
-	s.open--
-}
-
-// Spans returns a copy of the recorded spans in begin order; open spans
-// are included with a zero WallEnd.
-func (s *Sink) Spans() []Span {
+// BeginSpan opens a run-level interval (a functional-warming stretch, a
+// detailed measurement window, an audited run, one experiment point) at
+// the given sim cycle, stamping the reference index and wall clock. Spans
+// that aggregate several runs, like experiment points, pass cycle zero at
+// both ends.
+func (s *Sink) BeginSpan(name string, simCycle uint64) *telemetry.Span {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]Span(nil), s.spans...)
+	return &telemetry.Span{Name: name, Start: time.Now(), SimStart: simCycle, RefStart: s.ref.Load()}
+}
+
+// EndSpan closes sp at the given sim cycle and records it on the sink's
+// trace. A second End on the same span, or an End on the nil-sink span, is
+// a no-op.
+func (s *Sink) EndSpan(sp *telemetry.Span, simCycle uint64) {
+	if s == nil || sp == nil || !sp.End.IsZero() {
+		return
+	}
+	sp.End, sp.SimEnd, sp.RefEnd = time.Now(), simCycle, s.ref.Load()
+	s.trace.Add(*sp)
 }

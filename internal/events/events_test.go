@@ -17,15 +17,15 @@ func TestNilSinkNoOp(t *testing.T) {
 	s.Bind(32, 4, 2)
 	s.AdvanceRef(1)
 	s.Emit(Event{Kind: Fill})
-	id := s.BeginSpan("x", 0)
-	if id != -1 {
-		t.Fatalf("nil BeginSpan id = %d, want -1", id)
+	sp := s.BeginSpan("x", 0)
+	if sp != nil {
+		t.Fatalf("nil BeginSpan = %+v, want nil", sp)
 	}
-	s.EndSpan(id, 0)
+	s.EndSpan(sp, 0)
 	if s.Len() != 0 || s.Ref() != 0 || s.Emitted() != 0 || s.Dropped() != 0 {
 		t.Fatal("nil sink holds state")
 	}
-	if s.Events() != nil || s.Spans() != nil || s.FrameFilter(4, 2) != nil {
+	if s.Events() != nil || s.Trace() != nil || s.FrameFilter(4, 2) != nil {
 		t.Fatal("nil sink returned data")
 	}
 	if err := s.WriteChromeTrace(nil); err == nil {
@@ -57,7 +57,7 @@ func TestDisabledPathAllocs(t *testing.T) {
 // TestEnabledPathAllocs: the enabled path writes into the preallocated
 // ring and must not allocate either.
 func TestEnabledPathAllocs(t *testing.T) {
-	s := NewSink(Config{Cap: 64})
+	s := NewSink(Config{Cap: 64}, nil)
 	ev := Event{Kind: Hit, Cycle: 1, Block: 0x40, Frame: 2}
 	allocs := testing.AllocsPerRun(1000, func() {
 		s.AdvanceRef(1)
@@ -69,7 +69,7 @@ func TestEnabledPathAllocs(t *testing.T) {
 }
 
 func TestRingOverflow(t *testing.T) {
-	s := NewSink(Config{Cap: 4})
+	s := NewSink(Config{Cap: 4}, nil)
 	for i := uint64(0); i < 10; i++ {
 		s.Emit(Event{Kind: Fill, Cycle: i, Frame: -1})
 	}
@@ -88,7 +88,7 @@ func TestRingOverflow(t *testing.T) {
 }
 
 func TestKindFilter(t *testing.T) {
-	s := NewSink(Config{Cap: 16, Kinds: MaskOf(Fill, Evict)})
+	s := NewSink(Config{Cap: 16, Kinds: MaskOf(Fill, Evict)}, nil)
 	s.Emit(Event{Kind: Fill, Frame: -1})
 	s.Emit(Event{Kind: Hit, Frame: -1})
 	s.Emit(Event{Kind: Evict, Frame: -1})
@@ -103,12 +103,12 @@ func TestKindFilter(t *testing.T) {
 // frame (or block) and the set filter keeps only its sets; events with no
 // set information (the MSHR occupancy marks) are dropped.
 func TestSetFilter(t *testing.T) {
-	s := NewSink(Config{Cap: 16, Sets: []int{1}})
+	s := NewSink(Config{Cap: 16, Sets: []int{1}}, nil)
 	s.Bind(32, 4, 2) // 4 sets, 2 ways: frames 2,3 are set 1
 	if got, want := s.FrameFilter(4, 2), []bool{false, false, true, true, false, false, false, false}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("frame filter = %v, want %v", got, want)
 	}
-	if f := NewSink(Config{Cap: 16}).FrameFilter(4, 2); f != nil {
+	if f := NewSink(Config{Cap: 16}, nil).FrameFilter(4, 2); f != nil {
 		t.Fatalf("a sink without a set filter keeps every frame, got %v", f)
 	}
 
@@ -131,7 +131,7 @@ func TestSetFilter(t *testing.T) {
 }
 
 func TestBlockRangeFilter(t *testing.T) {
-	s := NewSink(Config{Cap: 16, BlockMin: 0x100, BlockMax: 0x1ff})
+	s := NewSink(Config{Cap: 16, BlockMin: 0x100, BlockMax: 0x1ff}, nil)
 	s.Emit(Event{Kind: Fill, Frame: -1, Block: 0x80})  // below: filtered
 	s.Emit(Event{Kind: Fill, Frame: -1, Block: 0x100}) // kept
 	s.Emit(Event{Kind: Fill, Frame: -1, Block: 0x1ff}) // kept
@@ -143,7 +143,7 @@ func TestBlockRangeFilter(t *testing.T) {
 }
 
 func TestRefClock(t *testing.T) {
-	s := NewSink(Config{Cap: 16})
+	s := NewSink(Config{Cap: 16}, nil)
 	s.Emit(Event{Kind: Fill, Frame: -1})
 	s.AdvanceRef(1)
 	s.AdvanceRef(1)
@@ -178,7 +178,7 @@ func TestParseKinds(t *testing.T) {
 }
 
 func TestParseSets(t *testing.T) {
-	got, err := ParseSets("5, 0:3, 9")
+	got, err := ParseSets("5, 0:3, 9", 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,18 +191,29 @@ func TestParseSets(t *testing.T) {
 			t.Fatalf("ParseSets = %v, want %v", got, want)
 		}
 	}
-	if got, err := ParseSets(""); err != nil || got != nil {
+	if got, err := ParseSets("", 1024); err != nil || got != nil {
 		t.Fatalf("empty parse = %v, %v", got, err)
 	}
 	for _, bad := range []string{"x", "-1", "3:1", "1:x"} {
-		if _, err := ParseSets(bad); err == nil {
+		if _, err := ParseSets(bad, 1024); err == nil {
 			t.Fatalf("ParseSets(%q) did not error", bad)
+		}
+	}
+	// An index past the L1 is rejected before any range is expanded, so a
+	// filter matching nothing never runs and a huge range never allocates.
+	if got, err := ParseSets("1023, 0:1023", 1024); err != nil || len(got) != 1025 {
+		t.Fatalf("ParseSets up to the last set = %d sets, %v", len(got), err)
+	}
+	for _, bad := range []string{"5000", "1024", "0:4000000000"} {
+		_, err := ParseSets(bad, 1024)
+		if err == nil || !strings.Contains(err.Error(), "0..1023") {
+			t.Fatalf("ParseSets(%q) = %v, want an error naming 0..1023", bad, err)
 		}
 	}
 }
 
 func TestSpans(t *testing.T) {
-	s := NewSink(Config{Cap: 16})
+	s := NewSink(Config{Cap: 16}, nil)
 	outer := s.BeginSpan("run", 100)
 	s.AdvanceRef(1)
 	inner := s.BeginSpan("warmup", 100)
@@ -210,17 +221,18 @@ func TestSpans(t *testing.T) {
 	s.EndSpan(outer, 900)
 	s.EndSpan(outer, 1200) // double-end: no-op
 
-	spans := s.Spans()
+	// Spans land on the trace as they end: the inner one first.
+	spans := s.Trace().Spans()
 	if len(spans) != 2 {
 		t.Fatalf("%d spans, want 2", len(spans))
 	}
-	if spans[0].Name != "run" || spans[0].SimStart != 100 || spans[0].SimEnd != 900 {
-		t.Fatalf("outer span = %+v", spans[0])
+	if spans[1].Name != "run" || spans[1].SimStart != 100 || spans[1].SimEnd != 900 {
+		t.Fatalf("outer span = %+v", spans[1])
 	}
-	if spans[1].Name != "warmup" || spans[1].SimEnd != 500 || spans[1].RefStart != 1 {
-		t.Fatalf("inner span = %+v", spans[1])
+	if spans[0].Name != "warmup" || spans[0].SimEnd != 500 || spans[0].RefStart != 1 {
+		t.Fatalf("inner span = %+v", spans[0])
 	}
-	if spans[0].WallEnd.Before(spans[0].WallStart) {
+	if spans[1].End.Before(spans[1].Start) {
 		t.Fatal("span wall clock runs backwards")
 	}
 }
@@ -232,7 +244,7 @@ func TestConcurrentEmit(t *testing.T) {
 		goroutines = 8
 		perG       = 1000
 	)
-	s := NewSink(Config{Cap: goroutines * perG})
+	s := NewSink(Config{Cap: goroutines * perG}, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -257,7 +269,7 @@ func TestConcurrentEmit(t *testing.T) {
 	if s.Ref() != goroutines*perG {
 		t.Fatalf("ref clock = %d, want %d", s.Ref(), goroutines*perG)
 	}
-	if len(s.Spans()) != goroutines*(perG/100) {
-		t.Fatalf("%d spans", len(s.Spans()))
+	if n := len(s.Trace().Spans()); n != goroutines*(perG/100) {
+		t.Fatalf("%d spans", n)
 	}
 }

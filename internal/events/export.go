@@ -5,7 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
+	"strings"
+
+	"timekeeping/internal/telemetry"
 )
 
 // Gen is one cache-frame generation reconstructed from the event stream,
@@ -108,52 +112,39 @@ func closeGen(st *genState, now uint64) Gen {
 	return g
 }
 
-// Chrome trace-event pids. One trace carries three "processes": the
-// per-frame timeline (sim cycles, 1 cycle = 1 µs), run spans on the sim
-// clock, and run spans on the wall clock.
-const (
-	pidFrames    = 1
-	pidSimSpans  = 2
-	pidWallSpans = 3
-)
-
-// traceEvent is one Chrome trace-event object (the subset Perfetto
-// needs): ph X = complete slice, i = instant, C = counter, M = metadata.
-type traceEvent struct {
-	pid, tid int
-	ts       uint64
-	obj      map[string]any
-}
-
 // WriteChromeTrace renders the sink's capture as Chrome trace-event JSON
-// (open with https://ui.perfetto.dev). Each traced L1 frame is a track
-// whose generations appear as a green "live" slice followed by a red
-// "dead" slice (the paper's Figure 2/3 timeline); demand hits, prefetch
-// and victim-buffer activity are instant markers on the same track; MSHR
-// occupancy is a counter track (in captures without a set filter, which
-// drops the setless occupancy marks); run spans appear on dedicated
-// sim-clock and wall-clock tracks. Sim cycles map to trace microseconds 1:1.
+// (open with https://ui.perfetto.dev) through telemetry.WriteChromeTrace,
+// which draws the trace's spans on their node's wall-clock track and the
+// run spans again on a sim-cycle track. The capture adds the "L1 frames"
+// process: each traced frame is a track whose generations appear as a
+// green "live" slice followed by a red "dead" slice (the paper's Figure
+// 2/3 timeline); demand hits, prefetch and victim-buffer activity are
+// instant markers on the same track; MSHR occupancy is a counter track
+// (in captures without a set filter, which drops the setless occupancy
+// marks). Sim cycles map to trace microseconds 1:1.
 func (s *Sink) WriteChromeTrace(w io.Writer) error {
 	if s == nil {
 		return fmt.Errorf("events: no sink to export")
 	}
-	evs := s.Events()
-	spans := s.Spans()
+	return telemetry.WriteChromeTrace(w, s.trace.TraceID(), s.trace.Spans(), framesProcess(s.Events()))
+}
 
+// traceEvent is one Chrome trace-event object (the subset Perfetto
+// needs): ph X = complete slice, i = instant, C = counter, M = metadata.
+type traceEvent struct {
+	tid int
+	ts  uint64
+	obj map[string]any
+}
+
+// framesProcess renders events as the "L1 frames" process.
+func framesProcess(evs []Event) telemetry.Process {
 	var tes []traceEvent
-	add := func(pid, tid int, ts uint64, obj map[string]any) {
-		obj["pid"] = pid
+	add := func(tid int, ts uint64, obj map[string]any) {
 		obj["tid"] = tid
 		obj["ts"] = ts
-		tes = append(tes, traceEvent{pid: pid, tid: tid, ts: ts, obj: obj})
+		tes = append(tes, traceEvent{tid: tid, ts: ts, obj: obj})
 	}
-	meta := func(pid, tid int, kind, name string) {
-		add(pid, tid, 0, map[string]any{
-			"ph": "M", "name": kind, "args": map[string]any{"name": name},
-		})
-	}
-
-	meta(pidFrames, 0, "process_name", "L1 frames (sim cycles)")
 
 	// Generation slices per frame track.
 	frames := map[int32]bool{}
@@ -170,16 +161,16 @@ func (s *Sink) WriteChromeTrace(w io.Writer) error {
 			args["ref"] = "open at capture end"
 		}
 		if g.Hits > 0 {
-			add(pidFrames, tid, g.FillAt, map[string]any{
+			add(tid, g.FillAt, map[string]any{
 				"ph": "X", "name": "live", "dur": g.Live, "cname": "good", "args": args,
 			})
 			if g.Closed {
-				add(pidFrames, tid, g.FillAt+g.Live, map[string]any{
+				add(tid, g.FillAt+g.Live, map[string]any{
 					"ph": "X", "name": "dead", "dur": g.Dead, "cname": "terrible", "args": args,
 				})
 			}
 		} else if g.Closed {
-			add(pidFrames, tid, g.FillAt, map[string]any{
+			add(tid, g.FillAt, map[string]any{
 				"ph": "X", "name": "dead (zero live)", "dur": g.Dead, "cname": "terrible", "args": args,
 			})
 		}
@@ -193,13 +184,13 @@ func (s *Sink) WriteChromeTrace(w io.Writer) error {
 			// Rendered as generation slices above; hits additionally as
 			// thread-scoped instants so access intervals are visible.
 			if ev.Kind == Hit {
-				add(pidFrames, int(ev.Frame)+1, ev.Cycle, map[string]any{
+				add(int(ev.Frame)+1, ev.Cycle, map[string]any{
 					"ph": "i", "name": "hit", "s": "t",
 					"args": map[string]any{"ref": ev.Ref, "done": ev.A},
 				})
 			}
 		case MSHR:
-			add(pidFrames, 0, ev.Cycle, map[string]any{
+			add(0, ev.Cycle, map[string]any{
 				"ph": "C", "name": "demand MSHRs in flight",
 				"args": map[string]any{"inflight": ev.A},
 			})
@@ -212,7 +203,7 @@ func (s *Sink) WriteChromeTrace(w io.Writer) error {
 			if ev.Block != 0 {
 				args["block"] = fmt.Sprintf("%#x", ev.Block)
 			}
-			add(pidFrames, tid, ev.Cycle, map[string]any{
+			add(tid, ev.Cycle, map[string]any{
 				"ph": "i", "name": ev.Kind.String(), "s": "t", "args": args,
 			})
 		}
@@ -222,54 +213,14 @@ func (s *Sink) WriteChromeTrace(w io.Writer) error {
 	}
 
 	for f := range frames {
-		meta(pidFrames, int(f)+1, "thread_name", fmt.Sprintf("frame %d", f))
-	}
-
-	// Run spans: sim-clock extents for spans that advanced sim time,
-	// wall-clock extents for aggregating spans (experiment points).
-	var wall0 int64
-	s.mu.Lock()
-	if !s.wall0.IsZero() {
-		wall0 = s.wall0.UnixMicro()
-	}
-	s.mu.Unlock()
-	haveSim, haveWall := false, false
-	for _, sp := range spans {
-		if sp.WallEnd.IsZero() {
-			continue // still open; nothing renderable
-		}
-		args := map[string]any{
-			"sim_cycles": sp.SimEnd - sp.SimStart,
-			"refs":       sp.RefEnd - sp.RefStart,
-			"wall_us":    sp.WallEnd.Sub(sp.WallStart).Microseconds(),
-		}
-		if sp.SimEnd > sp.SimStart {
-			haveSim = true
-			add(pidSimSpans, 1, sp.SimStart, map[string]any{
-				"ph": "X", "name": sp.Name, "dur": sp.SimEnd - sp.SimStart, "args": args,
-			})
-		} else {
-			haveWall = true
-			ts := uint64(sp.WallStart.UnixMicro() - wall0)
-			add(pidWallSpans, 1, ts, map[string]any{
-				"ph": "X", "name": sp.Name,
-				"dur": uint64(sp.WallEnd.Sub(sp.WallStart).Microseconds()), "args": args,
-			})
-		}
-	}
-	if haveSim {
-		meta(pidSimSpans, 1, "process_name", "run spans (sim cycles)")
-	}
-	if haveWall {
-		meta(pidWallSpans, 1, "process_name", "run spans (wall clock)")
+		add(int(f)+1, 0, map[string]any{
+			"ph": "M", "name": "thread_name", "args": map[string]any{"name": fmt.Sprintf("frame %d", f)},
+		})
 	}
 
 	// Stable, per-track-monotone order: metadata first, then by ts.
 	sort.SliceStable(tes, func(i, j int) bool {
 		a, b := tes[i], tes[j]
-		if a.pid != b.pid {
-			return a.pid < b.pid
-		}
 		if a.tid != b.tid {
 			return a.tid < b.tid
 		}
@@ -279,29 +230,11 @@ func (s *Sink) WriteChromeTrace(w io.Writer) error {
 		}
 		return a.ts < b.ts
 	})
-
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n"); err != nil {
-		return err
-	}
+	p := telemetry.Process{Name: "L1 frames (sim cycles)", Events: make([]map[string]any, len(tes))}
 	for i, te := range tes {
-		if i > 0 {
-			if _, err := bw.WriteString(",\n"); err != nil {
-				return err
-			}
-		}
-		b, err := json.Marshal(te.obj)
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(b); err != nil {
-			return err
-		}
+		p.Events[i] = te.obj
 	}
-	if _, err := bw.WriteString("\n]}\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return p
 }
 
 // jsonlEvent is the compact JSONL wire form of one event.
@@ -316,41 +249,18 @@ type jsonlEvent struct {
 	B     uint64 `json:"b,omitempty"`
 }
 
-// jsonlSpan is the JSONL wire form of one run span.
-type jsonlSpan struct {
-	Span      string `json:"span"`
-	SimStart  uint64 `json:"sim_start"`
-	SimEnd    uint64 `json:"sim_end"`
-	RefStart  uint64 `json:"ref_start"`
-	RefEnd    uint64 `json:"ref_end"`
-	WallStart int64  `json:"wall_start_us"`
-	WallEnd   int64  `json:"wall_end_us"`
-}
-
-// WriteJSONL renders the capture as one JSON object per line: spans first
-// (keyed by "span"), then events oldest-first (keyed by "kind").
+// WriteJSONL renders the capture as one JSON object per line: the trace's
+// spans first, in telemetry.WriteJSONL's span-line form (keyed by
+// "span_id"), then events oldest-first (keyed by "kind").
 func (s *Sink) WriteJSONL(w io.Writer) error {
 	if s == nil {
 		return fmt.Errorf("events: no sink to export")
 	}
+	if err := telemetry.WriteJSONL(w, s.trace.Spans()); err != nil {
+		return err
+	}
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for _, sp := range s.Spans() {
-		if sp.WallEnd.IsZero() {
-			continue
-		}
-		if err := enc.Encode(jsonlSpan{
-			Span:      sp.Name,
-			SimStart:  sp.SimStart,
-			SimEnd:    sp.SimEnd,
-			RefStart:  sp.RefStart,
-			RefEnd:    sp.RefEnd,
-			WallStart: sp.WallStart.UnixMicro(),
-			WallEnd:   sp.WallEnd.UnixMicro(),
-		}); err != nil {
-			return err
-		}
-	}
 	for _, ev := range s.Events() {
 		if err := enc.Encode(jsonlEvent{
 			Kind:  ev.Kind.String(),
@@ -366,4 +276,22 @@ func (s *Sink) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// WriteFile exports the capture to path: Chrome trace-event JSON by
+// default, compact JSONL when the path ends in .jsonl.
+func (s *Sink) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if strings.HasSuffix(path, ".jsonl") {
+		err = s.WriteJSONL(f)
+	} else {
+		err = s.WriteChromeTrace(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

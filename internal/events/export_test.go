@@ -96,7 +96,7 @@ func decodeTrace(t *testing.T, blob []byte) chromeTrace {
 }
 
 func TestWriteChromeTrace(t *testing.T) {
-	s := NewSink(Config{Cap: 64})
+	s := NewSink(Config{Cap: 64}, nil)
 	s.Bind(32, 4, 2)
 	run := s.BeginSpan("run", 0)
 	s.Emit(Event{Kind: Fill, Cycle: 100, Frame: 0, Block: 0x100, A: 190})
@@ -116,6 +116,7 @@ func TestWriteChromeTrace(t *testing.T) {
 
 	var names []string
 	var liveDur, deadDur float64
+	procs := map[string]float64{} // process name -> pid
 	for _, ev := range tr.TraceEvents {
 		name := ev["name"].(string)
 		names = append(names, name)
@@ -124,7 +125,23 @@ func TestWriteChromeTrace(t *testing.T) {
 			liveDur = ev["dur"].(float64)
 		case "dead":
 			deadDur = ev["dur"].(float64)
+		case "process_name":
+			procs[ev["args"].(map[string]any)["name"].(string)] = ev["pid"].(float64)
 		}
+	}
+	// The run span also sits on the sim-cycle track, at its cycle extent.
+	simPid, ok := procs["run spans (sim cycles)"]
+	if !ok {
+		t.Fatalf("no sim-cycle track (processes %v)", procs)
+	}
+	onSim := false
+	for _, ev := range tr.TraceEvents {
+		if ev["pid"] == simPid && ev["name"] == "run" {
+			onSim = ev["ts"] == float64(0) && ev["dur"] == float64(1000)
+		}
+	}
+	if !onSim {
+		t.Error("run span missing from the sim-cycle track at cycles 0..1000")
 	}
 	joined := strings.Join(names, ",")
 	for _, want := range []string{
@@ -143,7 +160,7 @@ func TestWriteChromeTrace(t *testing.T) {
 }
 
 func TestWriteJSONL(t *testing.T) {
-	s := NewSink(Config{Cap: 16})
+	s := NewSink(Config{Cap: 16}, nil)
 	sp := s.BeginSpan("warmup", 10)
 	s.EndSpan(sp, 20)
 	s.Emit(Event{Kind: Fill, Cycle: 5, Frame: 1, Block: 0x40})
@@ -161,7 +178,7 @@ func TestWriteJSONL(t *testing.T) {
 	if err := json.Unmarshal([]byte(lines[0]), &span); err != nil {
 		t.Fatal(err)
 	}
-	if span["span"] != "warmup" || span["sim_start"] != float64(10) || span["sim_end"] != float64(20) {
+	if span["name"] != "warmup" || span["sim_start"] != float64(10) || span["sim_end"] != float64(20) {
 		t.Fatalf("span line = %v", span)
 	}
 	var ev map[string]any

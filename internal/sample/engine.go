@@ -97,8 +97,10 @@ type Config struct {
 	// Events, when non-nil, receives run-level spans — one per
 	// functional-warming stretch and one per detailed window — so the
 	// sampling schedule is visible on the same trace as the generation
-	// events. Nil is a valid no-op. The segment-parallel schedule ignores
-	// the sink: events.Sink is not safe for concurrent emitters.
+	// events. Nil is a valid no-op. The segment-parallel schedule records
+	// no spans: each segment runs on a machine forked from the cold
+	// prototype, whose sim clock starts over at the fork, so segment
+	// extents would overlap on the run's one sim-cycle timeline.
 	Events *events.Sink
 
 	// SegmentStream returns an independent reference stream positioned

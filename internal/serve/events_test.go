@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"timekeeping/pkg/api"
 )
@@ -44,16 +45,12 @@ func TestEventsEndpoint(t *testing.T) {
 		t.Fatal("trace has no events")
 	}
 
-	// JSONL: one object per line, containing the run spans. TK_AUDIT
-	// audits every run, and an audited run's top span is audited-run.
+	// JSONL: one object per line, containing the run spans.
 	buf.Reset()
 	if err := cl.JobEvents(context.Background(), j.ID, "jsonl", &buf); err != nil {
 		t.Fatalf("download jsonl: %v", err)
 	}
-	runSpan := `"span":"run"`
-	if os.Getenv("TK_AUDIT") != "" {
-		runSpan = `"span":"audited-run"`
-	}
+	runSpan := `"name":"` + runSpanName() + `"`
 	if !strings.Contains(buf.String(), runSpan) {
 		t.Fatalf("jsonl lacks the %s span:\n%.300s", runSpan, buf.String())
 	}
@@ -69,6 +66,104 @@ func TestEventsEndpoint(t *testing.T) {
 	if ae := apiError(t, err); ae.Code != api.CodeNotFound {
 		t.Fatalf("unknown job error = %+v", ae)
 	}
+}
+
+// runSpanName is the top run span's name: TK_AUDIT audits every exact
+// run, and an audited run's top span is audited-run.
+func runSpanName() string {
+	if os.Getenv("TK_AUDIT") != "" {
+		return "audited-run"
+	}
+	return "run"
+}
+
+// TestEventsJobOneTimeline: an events run records its run spans once, on
+// the job's own trace beside the service stages, with no second copy of
+// the resolve interval and trace-style span IDs throughout. The slow-
+// request log still names a service stage: a simulator span is never the
+// dominant stage.
+func TestEventsJobOneTimeline(t *testing.T) {
+	var logs syncBuffer
+	_, _, cl := newTestServer(t, Config{
+		Events:      true,
+		SlowRequest: time.Nanosecond,
+		Logger:      slog.New(slog.NewJSONHandler(&logs, nil)),
+	})
+	j, err := cl.Run(context.Background(), eventsRun)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	tv := jobTrace(t, cl, j.ID)
+	count := map[string]int{}
+	resolves := 0
+	for _, sp := range tv.Spans {
+		count[sp.Name]++
+		if strings.Contains(sp.Name, "resolve") {
+			resolves++
+		}
+		if !isLowerHex(sp.SpanID, 16) {
+			t.Errorf("span %q has ID %q, want 16 lowercase hex digits", sp.Name, sp.SpanID)
+		}
+	}
+	for _, name := range []string{runSpanName(), "warmup", "measure"} {
+		if count[name] != 1 {
+			t.Errorf("span %q appears %d times, want once (have %v)", name, count[name], count)
+		}
+	}
+	if resolves != 1 {
+		t.Errorf("%d span names contain resolve, want 1 (have %v)", resolves, count)
+	}
+
+	var slow struct {
+		Dominant string `json:"dominant_stage"`
+	}
+	for _, line := range strings.Split(logs.String(), "\n") {
+		if strings.Contains(line, `"msg":"slow request"`) {
+			if err := json.Unmarshal([]byte(line), &slow); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	service := false
+	for _, st := range stageNames {
+		service = service || slow.Dominant == st
+	}
+	if !service {
+		t.Fatalf("slow-request log names dominant stage %q, want a service stage %v:\n%s", slow.Dominant, stageNames, logs.String())
+	}
+}
+
+// TestEventsTracingOff: with tracing off the job has no trace, but its
+// event capture still carries the run spans.
+func TestEventsTracingOff(t *testing.T) {
+	_, _, cl := newTestServer(t, Config{Events: true, DisableTracing: true})
+	j, err := cl.Run(context.Background(), eventsRun)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := cl.JobEvents(context.Background(), j.ID, "jsonl", &buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{runSpanName(), "warmup", "measure"} {
+		if !strings.Contains(buf.String(), `"name":"`+name+`"`) {
+			t.Errorf("events of a job on an untraced server lack the %s span:\n%.300s", name, buf.String())
+		}
+	}
+}
+
+// isLowerHex reports whether s is n lowercase hex digits.
+func isLowerHex(s string, n int) bool {
+	if len(s) != n {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // TestEventsDisabledServer: requesting capture on a server without -events

@@ -478,22 +478,23 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, aerr)
 		return
 	}
-	var sink *events.Sink
-	if req.Events {
-		if !s.events {
-			writeError(w, http.StatusBadRequest, &api.Error{
-				Code:    api.CodeBadRequest,
-				Message: "event capture is disabled on this server (start tkserve with -events)",
-			})
-			return
-		}
-		sink = events.NewSink(events.Config{Cap: s.eventsCap})
+	if req.Events && !s.events {
+		writeError(w, http.StatusBadRequest, &api.Error{
+			Code:    api.CodeBadRequest,
+			Message: "event capture is disabled on this server (start tkserve with -events)",
+		})
+		return
 	}
 
 	// The request is valid: open (or join, via an inbound traceparent) its
 	// trace and surface the trace ID on the response so a client can fetch
-	// the timeline without parsing the body.
+	// the timeline without parsing the body. A capture records its run
+	// spans on that trace, or on its own when tracing is off.
 	tr := s.newTrace(r)
+	var sink *events.Sink
+	if req.Events {
+		sink = events.NewSink(events.Config{Cap: s.eventsCap}, tr)
+	}
 	now := time.Now()
 	tr.Span(stageValidate, t0, now, "bench", spec.Name)
 	s.observeStage(stageValidate, now.Sub(t0))
@@ -547,13 +548,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		}
 		opt.Progress = j.prog
 		opt.Events = j.events // nil unless the request asked for capture
-		span := j.events.BeginSpan("resolve "+spec.Name, 0)
 		rstart := time.Now()
 		res, outcome, err := s.cache.DoStaged(ctx, key, func(ctx context.Context) (sim.Result, error) {
 			return sim.Run(ctx, sim.Spec{Workload: spec, Opts: opt})
 		}, s.stageObserver(j))
 		rend := time.Now()
-		j.events.EndSpan(span, res.CPU.Cycles)
 		j.trace.Span(stageResolve, rstart, rend, "outcome", string(outcome))
 		s.observeStage(stageResolve, rend.Sub(rstart))
 		if err == nil && outcome != simcache.Miss {
@@ -595,11 +594,9 @@ func (s *Server) proxyRun(ctx context.Context, j *job, owner string, req api.Run
 	if tp := j.trace.Traceparent(); tp != "" {
 		ctx = api.WithTraceparent(ctx, tp)
 	}
-	span := j.events.BeginSpan("proxy "+owner, 0)
 	pstart := time.Now()
 	pj, err := s.cluster.Client(owner).Run(ctx, preq)
 	pend := time.Now()
-	j.events.EndSpan(span, 0)
 	if err != nil {
 		j.trace.Span(stageProxy, pstart, pend, "peer", owner, "error", err.Error())
 		s.observeStage(stageProxy, pend.Sub(pstart))
@@ -635,13 +632,14 @@ func (s *Server) CacheKey(req api.RunRequest) (string, error) {
 	return simcache.Key(spec.Name, opt), nil
 }
 
-// handleEvents serves a job's generation-event capture: Chrome trace-event
-// JSON (Perfetto-compatible) by default, compact JSONL with ?format=jsonl.
-// The capture is bounded by Config.EventsCap and exists only for run jobs
-// that asked for it ("events": true). A capture from a cache-hit, disk-hit
-// or proxied run carries no per-reference events — the simulation executed
-// elsewhere (or not at all) — only the resolve/proxy span timing the
-// lookup.
+// handleEvents serves a job's generation-event capture beside the spans of
+// the trace it records on: Chrome trace-event JSON (Perfetto-compatible)
+// by default, compact JSONL with ?format=jsonl. The capture is bounded by
+// Config.EventsCap and exists only for run jobs that asked for it
+// ("events": true). A capture from a cache-hit, disk-hit or proxied run
+// carries no per-reference events and no run spans — the simulation
+// executed elsewhere (or not at all) — only the service stages timing the
+// lookup when tracing is on.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.mgr.lookup(id)

@@ -137,51 +137,11 @@ func (s *Server) maybeLogSlow(j *job, snap api.JobView, total time.Duration) {
 	s.log.Warn("slow request", args...)
 }
 
-// simSpanCap bounds how many simulator run spans a job's trace export
-// carries; event captures can hold many more, served in full by
-// /v1/jobs/{id}/events.
-const simSpanCap = 64
-
-// jobSpans assembles a job's full span timeline: the request-lifecycle
-// spans plus, when the run captured generation events, the simulator's
-// own run spans (functional warming, measurement windows) linked in under
-// a "sim:" prefix so one export shows service latency and simulated-run
-// structure on one clock.
-func jobSpans(j *job) []telemetry.Span {
-	spans := j.trace.Spans()
-	if j.events == nil {
-		return spans
-	}
-	traceID, rootID, node := j.trace.TraceID(), j.trace.RootID(), j.trace.Node()
-	for i, sp := range j.events.Spans() {
-		if i >= simSpanCap {
-			break
-		}
-		if sp.WallEnd.IsZero() { // still open: no extent to export
-			continue
-		}
-		spans = append(spans, telemetry.Span{
-			TraceID: traceID,
-			SpanID:  fmt.Sprintf("%s:s%d", rootID, i),
-			Parent:  rootID,
-			Name:    "sim:" + sp.Name,
-			Node:    node,
-			Start:   sp.WallStart,
-			End:     sp.WallEnd,
-			Attrs: map[string]string{
-				"sim_cycles": fmt.Sprintf("%d", sp.SimEnd-sp.SimStart),
-				"refs":       fmt.Sprintf("%d", sp.RefEnd-sp.RefStart),
-			},
-		})
-	}
-	return spans
-}
-
 // traceView renders a job's timeline as the wire TraceView carried inside
 // JobView — the vehicle that hands a proxied hop's spans back to the
 // entry node.
 func traceView(j *job) *api.TraceView {
-	spans := jobSpans(j)
+	spans := j.trace.Spans()
 	v := &api.TraceView{TraceID: j.trace.TraceID(), Spans: make([]api.SpanView, 0, len(spans))}
 	for _, sp := range spans {
 		v.Spans = append(v.Spans, api.SpanView{
@@ -221,9 +181,10 @@ func spansFromView(v *api.TraceView) []telemetry.Span {
 }
 
 // handleTrace serves a job's distributed trace: Chrome trace-event JSON
-// (Perfetto-compatible, one process lane per node) by default, compact
-// JSONL with ?format=jsonl. For a proxied run the timeline includes the
-// owning peer's spans, merged at proxy return.
+// (Perfetto-compatible, one process lane per node, plus the sim-cycle
+// track when the run captured events) by default, compact JSONL with
+// ?format=jsonl. For a proxied run the timeline includes the owning
+// peer's spans, merged at proxy return.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.mgr.lookup(id)
@@ -238,7 +199,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	spans := jobSpans(j)
+	spans := j.trace.Spans()
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "chrome":
 		w.Header().Set("Content-Type", "application/json")

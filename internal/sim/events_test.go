@@ -14,6 +14,7 @@ import (
 	"timekeeping/internal/events"
 	"timekeeping/internal/hier"
 	"timekeeping/internal/sample"
+	"timekeeping/internal/telemetry"
 	"timekeeping/internal/workload"
 )
 
@@ -23,7 +24,7 @@ import (
 // fields, every track's timestamps are monotone, and the run-level spans
 // are present.
 func TestEventsEndToEnd(t *testing.T) {
-	sink := events.NewSink(events.Config{Cap: 1 << 16, Sets: []int{0, 1, 2, 3}})
+	sink := events.NewSink(events.Config{Cap: 1 << 16, Sets: []int{0, 1, 2, 3}}, nil)
 	opt := Default()
 	opt.Track = true
 	opt.WarmupRefs = 10_000
@@ -47,9 +48,9 @@ func TestEventsEndToEnd(t *testing.T) {
 	}
 
 	spans := map[string]bool{}
-	for _, sp := range sink.Spans() {
+	for _, sp := range sink.Trace().Spans() {
 		spans[sp.Name] = true
-		if sp.WallEnd.IsZero() {
+		if sp.End.IsZero() {
 			t.Fatalf("span %q left open", sp.Name)
 		}
 	}
@@ -115,7 +116,7 @@ func validateChromeTrace(t *testing.T, blob []byte) {
 // times the timekeeping tracker contributed to its histograms — same
 // boundaries, same clamped arithmetic, for every closed generation.
 func TestEventsMatchTracker(t *testing.T) {
-	sink := events.NewSink(events.Config{Cap: 1 << 18})
+	sink := events.NewSink(events.Config{Cap: 1 << 18}, nil)
 	h := hier.New(hier.DefaultConfig())
 	h.SetEvents(sink)
 
@@ -170,7 +171,7 @@ func TestEventsMatchTracker(t *testing.T) {
 // (functional warming, detailed warming, measurement windows) on the same
 // sink.
 func TestEventsSampledRun(t *testing.T) {
-	sink := events.NewSink(events.Config{Cap: 1 << 14})
+	sink := events.NewSink(events.Config{Cap: 1 << 14}, nil)
 	opt := Default()
 	opt.WarmupRefs = 5_000
 	opt.MeasureRefs = 60_000
@@ -181,7 +182,7 @@ func TestEventsSampledRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	var warm, windows int
-	for _, sp := range sink.Spans() {
+	for _, sp := range sink.Trace().Spans() {
 		switch {
 		case sp.Name == "functional-warm":
 			warm++
@@ -236,7 +237,7 @@ func TestEngineEventsMatchReference(t *testing.T) {
 				opt.Track = true
 				opt.WarmupRefs, opt.MeasureRefs = 10_000, 40_000
 				c.tune(&opt)
-				opt.Events = events.NewSink(events.Config{Cap: 1 << 18, Sets: c.sets})
+				opt.Events = events.NewSink(events.Config{Cap: 1 << 18, Sets: c.sets}, nil)
 				res, err := run(context.Background(), Spec{Workload: workload.MustProfile(c.bench), Opts: opt})
 				if err != nil {
 					t.Fatal(err)
@@ -258,10 +259,13 @@ func TestEngineEventsMatchReference(t *testing.T) {
 			if a, b := refSink.Events(), engSink.Events(); !reflect.DeepEqual(a, b) {
 				t.Fatalf("events differ: reference %d, engine %d; first difference %s", len(a), len(b), firstEventDiff(a, b))
 			}
-			simSpans := func(s *events.Sink) []events.Span {
-				spans := s.Spans()
+			// Each sink records on its own trace, so trace and span IDs
+			// differ along with the wall-clock stamps.
+			simSpans := func(s *events.Sink) []telemetry.Span {
+				spans := s.Trace().Spans()
 				for i := range spans {
-					spans[i].WallStart, spans[i].WallEnd = time.Time{}, time.Time{}
+					spans[i].Start, spans[i].End = time.Time{}, time.Time{}
+					spans[i].TraceID, spans[i].SpanID, spans[i].Parent = "", "", ""
 					if spans[i].Name == "audited-run" {
 						spans[i].Name = "run"
 					}
@@ -294,7 +298,7 @@ func firstEventDiff(a, b []events.Event) string {
 // no set, so the filter drops them instead of letting them overwrite the
 // frame events it was asked for.
 func TestSetFilteredCaptureKeepsItsSets(t *testing.T) {
-	sink := events.NewSink(events.Config{Sets: []int{0, 1, 2, 3}})
+	sink := events.NewSink(events.Config{Sets: []int{0, 1, 2, 3}}, nil)
 	opt := Default()
 	opt.Track = true
 	opt.Events = sink

@@ -429,7 +429,7 @@ func BenchmarkStorePut(b *testing.B) {
 
 // BenchmarkStoreColdRun is the cold path a disk hit replaces: simulate
 // the configuration and persist the result. Contrast with
-// BenchmarkStoreWarmRestart in the BENCH_store CI artifact.
+// BenchmarkStoreWarmRestart in the BENCH_store.txt CI artifact.
 func BenchmarkStoreColdRun(b *testing.B) {
 	opt := testOptions()
 	s, err := Open(b.TempDir(), Options{})

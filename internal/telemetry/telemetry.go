@@ -1,9 +1,10 @@
-// Package telemetry is the serving stack's distributed-tracing substrate:
-// W3C-traceparent-style identifiers issued at request ingress, a
-// per-request span timeline recorded as the job moves through the service
-// stages (validate, queue wait, cache probe, proxy hop, simulate,
-// persist, respond), and exporters mirroring internal/events (JSONL and
-// Chrome trace-event JSON).
+// Package telemetry is the repository's one span model: W3C-traceparent-
+// style identifiers issued at request ingress, a per-request span timeline
+// recorded as the job moves through the service stages (validate, queue
+// wait, cache probe, proxy hop, simulate, persist, respond) and through
+// the simulator's run phases (internal/events records those, with their
+// sim-cycle and reference extents), and the JSONL and Chrome trace-event
+// exporters every span goes through.
 //
 // The design rules follow internal/obs: a nil *Trace is a valid no-op, so
 // instrumented code never branches on "is tracing on"; recording a span
@@ -51,14 +52,14 @@ func randHex(n int) string {
 
 // ParseTraceparent extracts the trace ID and parent span ID from a W3C
 // traceparent header ("00-<trace-id>-<span-id>-<flags>"). ok is false for
-// anything malformed or all-zero, in which case the caller should mint a
-// fresh trace.
+// anything malformed, for the forbidden version ff and for all-zero IDs,
+// in which case the caller should mint a fresh trace.
 func ParseTraceparent(h string) (traceID, spanID string, ok bool) {
 	parts := strings.Split(strings.TrimSpace(h), "-")
 	if len(parts) != 4 || len(parts[0]) != 2 || len(parts[1]) != traceIDLen || len(parts[2]) != spanIDLen || len(parts[3]) != 2 {
 		return "", "", false
 	}
-	if !isHex(parts[1]) || !isHex(parts[2]) || !isHex(parts[0]) || !isHex(parts[3]) {
+	if !isHex(parts[1]) || !isHex(parts[2]) || !isHex(parts[0]) || !isHex(parts[3]) || parts[0] == "ff" {
 		return "", "", false
 	}
 	if parts[1] == strings.Repeat("0", traceIDLen) || parts[2] == strings.Repeat("0", spanIDLen) {
@@ -83,8 +84,10 @@ func isHex(s string) bool {
 	return true
 }
 
-// Span is one completed stage of a request's lifecycle, attributed to the
-// node that executed it.
+// Span is one completed interval, attributed to the node that executed
+// it: a stage of a request's lifecycle, or a run phase of a simulation
+// (warm-up, measurement, a sampling window). A run phase also carries its
+// sim-cycle and reference-index extents; on service spans they are zero.
 type Span struct {
 	TraceID string
 	SpanID  string
@@ -94,6 +97,9 @@ type Span struct {
 	Start   time.Time
 	End     time.Time
 	Attrs   map[string]string
+
+	SimStart, SimEnd uint64 // sim cycles
+	RefStart, RefEnd uint64 // demand L1 accesses
 }
 
 // Dur returns the span's wall duration.
@@ -145,14 +151,6 @@ func (t *Trace) Joined() bool {
 	return t != nil && t.parent != ""
 }
 
-// Node returns the node label this trace stamps onto its spans.
-func (t *Trace) Node() string {
-	if t == nil {
-		return ""
-	}
-	return t.node
-}
-
 // Traceparent renders the header an outbound hop should carry so the
 // remote node joins this trace as a child of this node's root span.
 func (t *Trace) Traceparent() string {
@@ -168,16 +166,17 @@ func (t *Trace) Span(name string, start, end time.Time, kv ...string) {
 	if t == nil {
 		return
 	}
-	t.record(Span{
-		TraceID: t.traceID,
-		SpanID:  NewSpanID(),
-		Parent:  t.rootID,
-		Name:    name,
-		Node:    t.node,
-		Start:   start,
-		End:     end,
-		Attrs:   attrs(kv),
-	})
+	t.Add(Span{Name: name, Start: start, End: end, Attrs: attrs(kv)})
+}
+
+// Add records sp as one completed child span, stamping this trace's ID, a
+// fresh span ID, the root as parent and this node's label.
+func (t *Trace) Add(sp Span) {
+	if t == nil {
+		return
+	}
+	sp.TraceID, sp.SpanID, sp.Parent, sp.Node = t.traceID, NewSpanID(), t.rootID, t.node
+	t.record(sp)
 }
 
 // Root records this node's root span — the full ingress-to-response

@@ -24,27 +24,61 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+// validTraceparent is a well-formed header; malformedTraceparents are
+// headers ParseTraceparent must reject. Both seed FuzzParseTraceparent.
+const validTraceparent = "00-4bf92f3577b34da6a3ce929d0e0e4736-bb90a51c68d1eb7f-01"
+
+var malformedTraceparents = []string{
+	"",
+	"garbage",
+	"00-short-bb90a51c68d1eb7f-01",
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-bb90a51c68d1eb7f",          // missing flags
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-BB90A51C68D1EB7F-01",       // uppercase hex
+	"00-00000000000000000000000000000000-bb90a51c68d1eb7f-01",       // all-zero trace
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",       // all-zero span
+	"zz-4bf92f3577b34da6a3ce929d0e0e4736-bb90a51c68d1eb7f-01",       // bad version
+	"ff-4bf92f3577b34da6a3ce929d0e0e4736-bb90a51c68d1eb7f-01",       // forbidden version
+	"00-4bf92f3577b34da6a3ce929d0e0e4736x-bb90a51c68d1eb7f-01",      // bad length
+	"00-4bf92f3577b34da6a3ce929d0e0e4736-bb90a51c68d1eb7f-01-extra", // too many parts
+}
+
 func TestParseTraceparentRejectsMalformed(t *testing.T) {
-	bad := []string{
-		"",
-		"garbage",
-		"00-short-bb90a51c68d1eb7f-01",
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-bb90a51c68d1eb7f",          // missing flags
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-BB90A51C68D1EB7F-01",       // uppercase hex
-		"00-00000000000000000000000000000000-bb90a51c68d1eb7f-01",       // all-zero trace
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",       // all-zero span
-		"zz-4bf92f3577b34da6a3ce929d0e0e4736-bb90a51c68d1eb7f-01",       // bad version
-		"00-4bf92f3577b34da6a3ce929d0e0e4736x-bb90a51c68d1eb7f-01",      // bad length
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-bb90a51c68d1eb7f-01-extra", // too many parts
-	}
-	for _, h := range bad {
+	for _, h := range malformedTraceparents {
 		if _, _, ok := ParseTraceparent(h); ok {
 			t.Errorf("ParseTraceparent(%q) = ok, want reject", h)
 		}
 	}
-	if id, span, ok := ParseTraceparent("00-4bf92f3577b34da6a3ce929d0e0e4736-bb90a51c68d1eb7f-01"); !ok || id != "4bf92f3577b34da6a3ce929d0e0e4736" || span != "bb90a51c68d1eb7f" {
+	if id, span, ok := ParseTraceparent(validTraceparent); !ok || id != "4bf92f3577b34da6a3ce929d0e0e4736" || span != "bb90a51c68d1eb7f" {
 		t.Errorf("valid header rejected: ok=%v id=%s span=%s", ok, id, span)
 	}
+}
+
+// FuzzParseTraceparent: the parser never panics, and a header it accepts
+// carries lowercase-hex, nonzero IDs of the W3C lengths that round-trip
+// through FormatTraceparent.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add(validTraceparent)
+	for _, h := range malformedTraceparents {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		traceID, spanID, ok := ParseTraceparent(h)
+		if !ok {
+			return
+		}
+		for _, id := range []struct {
+			v string
+			n int
+		}{{traceID, traceIDLen}, {spanID, spanIDLen}} {
+			if len(id.v) != id.n || !isHex(id.v) || id.v == strings.Repeat("0", id.n) {
+				t.Fatalf("ParseTraceparent(%q) accepted ID %q, want %d lowercase hex digits, not all zero", h, id.v, id.n)
+			}
+		}
+		back, backSpan, ok := ParseTraceparent(FormatTraceparent(traceID, spanID))
+		if !ok || back != traceID || backSpan != spanID {
+			t.Fatalf("ParseTraceparent(%q) = (%s, %s) does not round-trip: (%s, %s, %v)", h, traceID, spanID, back, backSpan, ok)
+		}
+	})
 }
 
 func TestJoinKeepsTraceID(t *testing.T) {
