@@ -1,7 +1,8 @@
 // Command tkgold maintains the golden-stats regression corpus under
 // testdata/golden: one entry per synthetic benchmark under the paper's
 // baseline configuration, plus the reduced-scale set the benchmark smoke
-// verifies, the phase-sampled estimates and the mechanism results.
+// verifies, the phase-sampled estimates, the mechanism results and the
+// periodic sampling schedules' results.
 //
 // Default mode (also spelled -verify) recomputes every entry and reports
 // drift against the stored corpus — every drifted entry with every
@@ -189,7 +190,9 @@ type listCorpusFile struct {
 //     (signatures, k-means, window plan, stratified estimates);
 //   - mechanisms.json: the full result of every mechanism configuration
 //     on the representative subset, pinning the prefetchers and the
-//     victim cache that the base-configuration entries never attach.
+//     victim cache that the base-configuration entries never attach;
+//   - sampled.json: the full result of the fixed-period, target-CI and
+//     segmented sampling schedules on the representative subset.
 func listCorpora(update bool, dir string, out io.Writer) []listCorpusFile {
 	benchOpt, phaseOpt := golden.BenchScaleOptions(), golden.PhaseOptions()
 	return []listCorpusFile{
@@ -206,6 +209,10 @@ func listCorpora(update bool, dir string, out io.Writer) []listCorpusFile {
 		}},
 		{"mechanisms", func() error {
 			return listCorpus(update, dir, out, golden.MechFile, golden.MechPoints(), golden.ComputeMech,
+				func(e golden.MechEntry) string { return e.Bench + "/" + e.Config })
+		}},
+		{"sampled", func() error {
+			return listCorpus(update, dir, out, golden.SampledFile, golden.SampledPoints(), golden.ComputeMech,
 				func(e golden.MechEntry) string { return e.Bench + "/" + e.Config })
 		}},
 	}

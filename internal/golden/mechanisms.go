@@ -15,8 +15,9 @@ import (
 // exact run with one mechanism attached, at the benchmark layer probe's
 // scale.
 
-// MechPoint is one (benchmark, mechanism configuration) run the corpus
-// records, with the options it runs under.
+// MechPoint is one (benchmark, configuration) run a result-list corpus
+// (mechanisms.json, sampled.json) records, with the options it runs
+// under.
 type MechPoint struct {
 	Bench  string
 	Config string

@@ -7,11 +7,23 @@ import "testing"
 // byte-for-byte. Under TK_AUDIT the same points run audited, so the
 // oracle checks every mechanism the file pins.
 func TestMechanismsMatchGoldenCorpus(t *testing.T) {
-	want, err := MechFile.Load(Dir())
+	verifyResultList(t, MechFile, MechPoints())
+}
+
+// TestSampledMatchesGoldenCorpus regression-guards the periodic sampling
+// schedules: recomputing every point must reproduce
+// testdata/golden/sampled.json byte-for-byte.
+func TestSampledMatchesGoldenCorpus(t *testing.T) {
+	verifyResultList(t, SampledFile, SampledPoints())
+}
+
+// verifyResultList recomputes every point of a result-list corpus file in
+// parallel subtests and compares each against its stored entry.
+func verifyResultList(t *testing.T, file ListFile[MechEntry], points []MechPoint) {
+	want, err := file.Load(Dir())
 	if err != nil {
-		t.Fatalf("loading mechanism corpus: %v (generate with `go run ./cmd/tkgold -update`)", err)
+		t.Fatalf("loading %s: %v (generate with `go run ./cmd/tkgold -update`)", file, err)
 	}
-	points := MechPoints()
 	if len(want) != len(points) {
 		t.Fatalf("corpus has %d entries, want %d", len(want), len(points))
 	}
@@ -27,7 +39,7 @@ func TestMechanismsMatchGoldenCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			if d := Diff(got, want[i]); d != "" {
-				t.Errorf("mechanism result drifted: %s\nregenerate with `go run ./cmd/tkgold -update` if intentional", d)
+				t.Errorf("result drifted: %s\nregenerate with `go run ./cmd/tkgold -update` if intentional", d)
 			}
 		})
 	}
