@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"testing"
 	"time"
@@ -142,6 +143,48 @@ func TestSampledRunParallelismOutOfRange(t *testing.T) {
 			t.Fatalf("parallelism %d accepted = %v, want [0..64]", par, ae.Accepted)
 		}
 	}
+}
+
+// TestSampledRunWindowCap: a window count above sample.MaxWindowCount,
+// explicit or derived from the request's references, is a bad_request at
+// intake for runs and experiments alike, and the server keeps answering.
+// Admitted, either request would have the segmented schedule allocate a
+// slot per segment, 2^40 of them.
+func TestSampledRunWindowCap(t *testing.T) {
+	_, _, cl := newTestServer(t, Config{})
+	explicit := api.RunRequest{Bench: "eon", Sampling: &api.SamplingPolicy{
+		DetailedRefs: 1, WarmRefs: 1, SegmentWindows: 1, MaxWindows: 1 << 40,
+	}}
+	derived := api.RunRequest{Bench: "eon", Refs: 1 << 41, Sampling: &api.SamplingPolicy{
+		DetailedRefs: 1, WarmRefs: 1, SegmentWindows: 1,
+	}}
+	for i, req := range []api.RunRequest{explicit, derived} {
+		_, err := cl.Run(context.Background(), req)
+		checkWindowCapError(t, fmt.Sprintf("run %d", i), err)
+		_, err = cl.Experiment(context.Background(), "fig2", api.ExperimentRequest{
+			Benches: []string{"eon"}, Refs: req.Refs, Sampling: req.Sampling,
+		})
+		checkWindowCapError(t, fmt.Sprintf("experiment %d", i), err)
+	}
+	if j, err := cl.Run(context.Background(), sampledRun); err != nil || j.Status != api.StatusDone {
+		t.Fatalf("run after rejected requests: %+v, %v", j, err)
+	}
+}
+
+// checkWindowCapError asserts err is a bad_request naming the window
+// range.
+func checkWindowCapError(t *testing.T, what string, err error) {
+	t.Helper()
+	ae := apiError(t, err)
+	if ae.Code != api.CodeBadRequest || ae.HTTPStatus != http.StatusBadRequest {
+		t.Fatalf("%s: error = %+v", what, ae)
+	}
+	for _, a := range ae.Accepted {
+		if a == "1..65536" {
+			return
+		}
+	}
+	t.Fatalf("%s: accepted = %v, want to include 1..65536", what, ae.Accepted)
 }
 
 // TestSampledRunParallelWithoutSegments: Parallelism > 1 without

@@ -375,7 +375,7 @@ func (s *Server) options(req api.RunRequest) (sim.Options, *api.Error) {
 	}
 	if req.Sampling != nil {
 		pol := samplingPolicy(req.Sampling)
-		if aerr := checkSampling(pol, opt.Audit); aerr != nil {
+		if aerr := checkSampling(pol, opt.Audit, opt.MeasureRefs); aerr != nil {
 			return sim.Options{}, aerr
 		}
 		opt.Sampling = pol
@@ -405,44 +405,25 @@ func samplingPolicy(p *api.SamplingPolicy) *sample.Policy {
 	}
 }
 
-// checkSampling rejects invalid policies and the sampling+audit
-// combination up front with a bad_request, rather than failing the job.
-func checkSampling(pol *sample.Policy, audit bool) *api.Error {
+// checkSampling rejects, with a bad_request, an invalid policy, one whose
+// window budget over measureRefs references is out of range, and the
+// sampling+audit combination, rather than failing the job. Policy errors
+// keep the accepted values sample attaches to them.
+func checkSampling(pol *sample.Policy, audit bool, measureRefs uint64) *api.Error {
 	if pol == nil {
 		return nil
 	}
-	if pol.Parallelism < 0 || pol.Parallelism > sample.MaxParallelism {
-		return &api.Error{
-			Code:     api.CodeBadRequest,
-			Message:  fmt.Sprintf("sampling.parallelism %d out of range", pol.Parallelism),
-			Accepted: []string{fmt.Sprintf("0..%d", sample.MaxParallelism)},
-		}
+	err := pol.Validate()
+	if err == nil {
+		_, err = pol.WindowBudget(measureRefs)
 	}
-	switch pol.Schedule {
-	case "", sample.SchedulePhase:
-	default:
-		return &api.Error{
-			Code:     api.CodeBadRequest,
-			Message:  fmt.Sprintf("sampling.schedule %q unknown", pol.Schedule),
-			Accepted: []string{"", sample.SchedulePhase},
+	if err != nil {
+		aerr := &api.Error{Code: api.CodeBadRequest, Message: err.Error()}
+		var pe *sample.PolicyError
+		if errors.As(err, &pe) {
+			aerr.Accepted = pe.Accepted
 		}
-	}
-	if pol.PhaseIntervals < 0 || pol.PhaseIntervals == 1 || pol.PhaseIntervals > sample.MaxPhaseIntervals {
-		return &api.Error{
-			Code:     api.CodeBadRequest,
-			Message:  fmt.Sprintf("sampling.phase_intervals %d out of range", pol.PhaseIntervals),
-			Accepted: []string{"0 (default)", fmt.Sprintf("2..%d", sample.MaxPhaseIntervals)},
-		}
-	}
-	if pol.PhaseK < 0 || pol.PhaseK > sample.MaxPhaseK {
-		return &api.Error{
-			Code:     api.CodeBadRequest,
-			Message:  fmt.Sprintf("sampling.phase_k %d out of range", pol.PhaseK),
-			Accepted: []string{"0 (BIC model selection)", fmt.Sprintf("1..%d", sample.MaxPhaseK)},
-		}
-	}
-	if err := pol.Validate(); err != nil {
-		return &api.Error{Code: api.CodeBadRequest, Message: err.Error()}
+		return aerr
 	}
 	if audit {
 		return &api.Error{Code: api.CodeBadRequest, Message: sim.ErrSampledAudit.Error()}
@@ -689,7 +670,11 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if aerr := checkSampling(samplingPolicy(req.Sampling), s.base.Audit); aerr != nil {
+	refs := experiments.NewRunner().Opts.MeasureRefs
+	if req.Refs > 0 {
+		refs = req.Refs
+	}
+	if aerr := checkSampling(samplingPolicy(req.Sampling), s.base.Audit, refs); aerr != nil {
 		writeError(w, http.StatusBadRequest, aerr)
 		return
 	}
