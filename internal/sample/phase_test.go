@@ -2,6 +2,7 @@ package sample
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -182,6 +183,21 @@ func TestPhaseEngineBudgetBelowIntervals(t *testing.T) {
 	}
 	if e.Phase.K != 2 {
 		t.Fatalf("K = %d, want 2", e.Phase.K)
+	}
+}
+
+// TestPhaseWindowBudget: the phase schedule takes at most one window per
+// profiling interval, so a long run with short periods stays within
+// MaxWindowCount where a periodic schedule is rejected.
+func TestPhaseWindowBudget(t *testing.T) {
+	p := Policy{DetailedRefs: 1, WarmRefs: 1}
+	var pe *PolicyError
+	if _, err := p.WindowBudget(1 << 41); !errors.As(err, &pe) || !reflect.DeepEqual(pe.Accepted, []string{"1..65536"}) {
+		t.Fatalf("periodic budget of 2^40 windows: err = %v, want a *PolicyError accepting 1..65536", err)
+	}
+	p.Schedule = SchedulePhase
+	if n, err := p.WindowBudget(1 << 41); err != nil || n != DefaultPhaseIntervals {
+		t.Fatalf("phase budget = %d, %v; want %d", n, err, DefaultPhaseIntervals)
 	}
 }
 
