@@ -3,7 +3,9 @@ package phase
 import (
 	"context"
 	"math"
+	"math/bits"
 	"reflect"
+	"sort"
 	"testing"
 
 	"timekeeping/internal/trace"
@@ -240,5 +242,139 @@ func TestPhasePlanCapsAtClusterSize(t *testing.T) {
 			t.Fatalf("interval %d planned twice", w.Interval)
 		}
 		seen[w.Interval] = true
+	}
+}
+
+// mapSignatures is Signatures with the profiler's original counter, a
+// map[uint64]float64 visited in sorted region order: the reference the
+// flat counter must reproduce bit for bit.
+func mapSignatures(refs []trace.Ref, ivRefs uint64, n int, cfg Config) [][]float64 {
+	cfg = cfg.withDefaults()
+	shift := uint(bits.TrailingZeros64(cfg.RegionBytes))
+	var sigs [][]float64
+	for iv := 0; iv < n && len(refs) > 0; iv++ {
+		got := min(ivRefs, uint64(len(refs)))
+		counts := map[uint64]float64{}
+		for _, r := range refs[:got] {
+			counts[r.Addr>>shift]++
+		}
+		refs = refs[got:]
+		regions := make([]uint64, 0, len(counts))
+		for reg := range counts {
+			regions = append(regions, reg)
+		}
+		sort.Slice(regions, func(i, j int) bool { return regions[i] < regions[j] })
+		vec := make([]float64, cfg.Dim)
+		inv := 1 / float64(got)
+		for _, reg := range regions {
+			f := counts[reg] * inv
+			h := mix64(reg ^ cfg.Seed*0x9e3779b97f4a7c15)
+			for d := 0; d < cfg.Dim; d++ {
+				if h>>uint(d)&1 == 1 {
+					vec[d] += f
+				} else {
+					vec[d] -= f
+				}
+			}
+		}
+		sigs = append(sigs, vec)
+		if got < ivRefs {
+			break
+		}
+	}
+	return sigs
+}
+
+// sameBits reports whether two signature sets are bit-identical.
+func sameBits(a, b [][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for d := range a[i] {
+			if math.Float64bits(a[i][d]) != math.Float64bits(b[i][d]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestPhaseRegionCounterMatchesMap holds the flat region counter equal to
+// a map count: at byte granularity, where regions 0 and 2^64-1 are both
+// real, and over an interval whose region count makes the table grow,
+// followed by intervals that reuse the grown table.
+func TestPhaseRegionCounterMatchesMap(t *testing.T) {
+	addrs := func(as ...uint64) []trace.Ref {
+		refs := make([]trace.Ref, len(as))
+		for i, a := range as {
+			refs[i] = trace.Ref{Addr: a, Kind: trace.Load}
+		}
+		return refs
+	}
+	const top = ^uint64(0)
+	wide := make([]trace.Ref, 0, 12000)
+	for i := 0; i < 6000; i++ { // 6000 distinct regions in the first interval
+		wide = append(wide, trace.Ref{Addr: uint64(i) * DefaultRegionBytes * 3, Kind: trace.Load})
+	}
+	for i := 0; i < 6000; i++ { // then few regions per interval
+		wide = append(wide, trace.Ref{Addr: uint64(i%5) << 40, Kind: trace.Store})
+	}
+	cases := []struct {
+		name   string
+		refs   []trace.Ref
+		ivRefs uint64
+		cfg    Config
+	}{
+		{"byte regions 0 and 2^64-1", addrs(0, top, 0, 1, top, top, 0, 1<<63, top-1, 0, top, 2), 4, Config{RegionBytes: 1, Seed: 5}},
+		{"only region 2^64-1", addrs(top, top, top), 3, Config{RegionBytes: 1, Seed: 5}},
+		{"only region 0", addrs(0, 0, 0, 0, 0), 2, Config{RegionBytes: 1, Seed: 5}},
+		{"growing table", wide, 6000, Config{Seed: 9}},
+		{"growing table, short intervals", wide, 1500, Config{Seed: 9}},
+	}
+	for _, tc := range cases {
+		n := len(tc.refs)/int(tc.ivRefs) + 1
+		got, consumed, err := Signatures(context.Background(), &trace.SliceStream{Refs: tc.refs}, 0, tc.ivRefs, n, tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if consumed != uint64(len(tc.refs)) {
+			t.Fatalf("%s: consumed %d of %d refs", tc.name, consumed, len(tc.refs))
+		}
+		if want := mapSignatures(tc.refs, tc.ivRefs, n, tc.cfg); !sameBits(got, want) {
+			t.Fatalf("%s: flat counter signatures differ from the map count's", tc.name)
+		}
+	}
+
+	// The counts themselves, through a grow and a reset.
+	var c regionCounter
+	c.init(16)
+	want := map[uint64]uint64{}
+	for i := uint64(0); i < 5000; i++ {
+		reg := i * i % 977 * 0x10001
+		if i%7 == 0 {
+			reg = top - i%3
+		}
+		c.add(reg)
+		want[reg]++
+	}
+	got := c.sorted(nil)
+	if len(got) != len(want) {
+		t.Fatalf("counter holds %d regions, map %d", len(got), len(want))
+	}
+	for i, rc := range got {
+		if i > 0 && got[i-1].reg >= rc.reg {
+			t.Fatalf("regions not ascending at %d", i)
+		}
+		if want[rc.reg] != rc.n {
+			t.Fatalf("region %#x: counter %d, map %d", rc.reg, rc.n, want[rc.reg])
+		}
+	}
+	c.reset()
+	if rest := c.sorted(nil); len(rest) != 0 {
+		t.Fatalf("reset left %d regions", len(rest))
 	}
 }
