@@ -670,7 +670,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	refs := experiments.NewRunner().Opts.MeasureRefs
+	refs := s.base.MeasureRefs
 	if req.Refs > 0 {
 		refs = req.Refs
 	}
@@ -693,6 +693,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 
 	fn := func(ctx context.Context, j *job) error {
 		rn := experiments.NewRunner()
+		rn.Opts = s.base
 		rn.Cache = s.cache
 		rn.Ctx = ctx
 		rn.Opts.Progress = j.prog

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"timekeeping/internal/sim"
 	"timekeeping/internal/simcache"
 	"timekeeping/pkg/api"
 )
@@ -270,6 +271,30 @@ func TestExperimentEndpoint(t *testing.T) {
 	_, err = cl.Experiment(context.Background(), "nope", api.ExperimentRequest{})
 	if ae := apiError(t, err); ae.Code != api.CodeNotFound {
 		t.Fatalf("unknown experiment error = %+v", ae)
+	}
+}
+
+// TestExperimentUsesBaseOptions: an experiment starts from the server's
+// base options, as a run does, so a server configured for short runs
+// simulates short runs for its experiments too.
+func TestExperimentUsesBaseOptions(t *testing.T) {
+	base := sim.Default()
+	base.WarmupRefs = 5000
+	base.MeasureRefs = 20_000
+	_, ts, cl := newTestServer(t, Config{Base: base})
+
+	j, err := cl.Experiment(context.Background(), "fig2", api.ExperimentRequest{Benches: []string{"eon"}})
+	if err != nil {
+		t.Fatalf("experiment: %v", err)
+	}
+	if j.Status != api.StatusDone {
+		t.Fatalf("experiment: %+v", j)
+	}
+	// fig2 runs base and perfect-L1 for the bench: two runs of 5000+20000.
+	m := scrape(t, ts)
+	if m["tkserve_sim_runs_total"] != 2 || m["tkserve_sim_refs_total"] != 2*25_000 {
+		t.Fatalf("experiment simulated %v runs, %v refs; want 2 runs of 25000",
+			m["tkserve_sim_runs_total"], m["tkserve_sim_refs_total"])
 	}
 }
 
