@@ -174,10 +174,10 @@ func main() {
 		}
 		spec := sim.Spec{Name: *traceIn, Stream: rd, Opts: opt}
 		if opt.Sampling != nil && (opt.Sampling.SegmentWindows > 0 || opt.Sampling.Schedule == sample.SchedulePhase) {
-			// Segment workers (and the phase schedule's profiling pass) each
-			// replay the trace independently from their own fork offset: load
-			// it once and serve fresh SliceStreams over the shared reference
-			// slice.
+			// Segment workers (and the phase schedule's profiling pass)
+			// replay copies of the stream, which a file reader cannot
+			// give: load the trace once into a SliceStream, whose copies
+			// share its reference slice.
 			var refs []trace.Ref
 			var r trace.Ref
 			for rd.Next(&r) {
@@ -188,9 +188,6 @@ func main() {
 				os.Exit(1)
 			}
 			spec.Stream = &trace.SliceStream{Refs: refs}
-			spec.StreamFactory = func() (trace.Stream, error) {
-				return &trace.SliceStream{Refs: refs}, nil
-			}
 		}
 		res, err = sim.Run(context.Background(), spec)
 		if err == nil && rd.Err() != nil {

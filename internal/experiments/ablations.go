@@ -6,7 +6,6 @@ import (
 	"timekeeping/internal/core"
 	"timekeeping/internal/report"
 	"timekeeping/internal/sim"
-	"timekeeping/internal/workload"
 )
 
 // This file holds the ablations DESIGN.md calls out — sweeps over the
@@ -38,10 +37,7 @@ func AblateTableSize(r *Runner) []*report.Table {
 		base := r.get(cfgBase, b)
 		row := []string{b}
 		for _, sz := range sizes {
-			opts := r.Opts
-			opts.Prefetcher = sim.PrefetchTK
-			opts.Corr = sz.cfg
-			res := sim.MustRun(workload.MustProfile(b), opts)
+			res := r.point("ablate-table-"+sz.label, b, func(o *sim.Options) { o.Prefetcher, o.Corr = sim.PrefetchTK, sz.cfg })
 			row = append(row, report.PctPoints(sim.Improvement(res, base)))
 		}
 		t.AddRow(row...)
@@ -71,10 +67,8 @@ func AblateIndexSplit(r *Runner) []*report.Table {
 		base := r.get(cfgBase, b)
 		row := []string{b}
 		for _, cfg := range splits {
-			opts := r.Opts
-			opts.Prefetcher = sim.PrefetchTK
-			opts.Corr = cfg
-			res := sim.MustRun(workload.MustProfile(b), opts)
+			label := fmt.Sprintf("ablate-mn-%d-%d", cfg.TagSumBits, cfg.IndexBits)
+			res := r.point(label, b, func(o *sim.Options) { o.Prefetcher, o.Corr = sim.PrefetchTK, cfg })
 			row = append(row, report.PctPoints(sim.Improvement(res, base)))
 		}
 		t.AddRow(row...)
@@ -95,14 +89,14 @@ func AblateVictimThreshold(r *Runner) []*report.Table {
 		base := r.get(cfgBase, b)
 		row := []string{b}
 		for _, th := range []uint64{256, 1024, 4096, 16384, 0} {
-			opts := r.Opts
-			if th == 0 {
-				opts.VictimFilter = sim.VictimNone
-			} else {
-				opts.VictimFilter = sim.VictimDecay
-				opts.VictimDecayThreshold = th
-			}
-			res := sim.MustRun(workload.MustProfile(b), opts)
+			res := r.point(fmt.Sprintf("ablate-victim-%d", th), b, func(o *sim.Options) {
+				if th == 0 {
+					o.VictimFilter = sim.VictimNone
+				} else {
+					o.VictimFilter = sim.VictimDecay
+					o.VictimDecayThreshold = th
+				}
+			})
 			row = append(row, fmt.Sprintf("%s/%0.3f",
 				report.PctPoints(sim.Improvement(res, base)), res.VictimFillPerCycle()))
 		}
@@ -123,10 +117,7 @@ func AblateLiveScale(r *Runner) []*report.Table {
 		base := r.get(cfgBase, b)
 		row := []string{b}
 		for _, scale := range []uint64{1, 2, 3, 4} {
-			opts := r.Opts
-			opts.Prefetcher = sim.PrefetchTK
-			opts.LiveTimeScale = scale
-			res := sim.MustRun(workload.MustProfile(b), opts)
+			res := r.point(fmt.Sprintf("ablate-scale-%d", scale), b, func(o *sim.Options) { o.Prefetcher, o.LiveTimeScale = sim.PrefetchTK, scale })
 			row = append(row, report.PctPoints(sim.Improvement(res, base)))
 		}
 		t.AddRow(row...)
@@ -146,12 +137,11 @@ func AblateLiveTimeResolution(r *Runner) []*report.Table {
 		base := r.get(cfgBase, b)
 		row := []string{b}
 		for _, shift := range []uint{0, 4, 8, 12} {
-			cfg := core.DefaultCorrConfig()
-			cfg.LiveShift = shift
-			opts := r.Opts
-			opts.Prefetcher = sim.PrefetchTK
-			opts.Corr = cfg
-			res := sim.MustRun(workload.MustProfile(b), opts)
+			res := r.point(fmt.Sprintf("ablate-ltres-%d", shift), b, func(o *sim.Options) {
+				o.Prefetcher = sim.PrefetchTK
+				o.Corr = core.DefaultCorrConfig()
+				o.Corr.LiveShift = shift
+			})
 			row = append(row, report.PctPoints(sim.Improvement(res, base)))
 		}
 		t.AddRow(row...)
@@ -172,14 +162,8 @@ func AblateDropSWPrefetch(r *Runner) []*report.Table {
 		withBase := r.get(cfgBase, b)
 		with := sim.Improvement(r.get(cfgTK, b), withBase)
 
-		optBase := r.Opts
-		optBase.Track = true
-		optBase.DropSWPrefetch = true
-		noBase := sim.MustRun(workload.MustProfile(b), optBase)
-		optTK := r.Opts
-		optTK.Prefetcher = sim.PrefetchTK
-		optTK.DropSWPrefetch = true
-		noTK := sim.MustRun(workload.MustProfile(b), optTK)
+		noBase := r.point("ablate-swpf-base", b, func(o *sim.Options) { o.Track, o.DropSWPrefetch = true, true })
+		noTK := r.point("ablate-swpf-tk", b, func(o *sim.Options) { o.Prefetcher, o.DropSWPrefetch = sim.PrefetchTK, true })
 
 		t.AddRow(b, report.PctPoints(with), report.PctPoints(sim.Improvement(noTK, noBase)))
 	}
@@ -199,17 +183,15 @@ func AblateAssociativity(r *Runner) []*report.Table {
 	for _, b := range benchSubset(r, []string{"twolf", "vpr", "ammp", "swim"}) {
 		row := []string{b}
 		for _, ways := range []int{1, 2, 4} {
-			opts := r.Opts
-			opts.Hier.L1.Ways = ways
-			base := sim.MustRun(workload.MustProfile(b), opts)
-
-			vopts := opts
-			vopts.VictimFilter = sim.VictimDecay
-			v := sim.MustRun(workload.MustProfile(b), vopts)
-
-			popts := opts
-			popts.Prefetcher = sim.PrefetchTK
-			pf := sim.MustRun(workload.MustProfile(b), popts)
+			point := func(label string, mutate func(*sim.Options)) sim.Result {
+				return r.point(fmt.Sprintf("ablate-assoc-%d-%s", ways, label), b, func(o *sim.Options) {
+					o.Hier.L1.Ways = ways
+					mutate(o)
+				})
+			}
+			base := point("base", func(*sim.Options) {})
+			v := point("vdecay", func(o *sim.Options) { o.VictimFilter = sim.VictimDecay })
+			pf := point("tk", func(o *sim.Options) { o.Prefetcher = sim.PrefetchTK })
 
 			row = append(row, fmt.Sprintf("%.2f/%s/%s", base.CPU.IPC,
 				report.PctPoints(sim.Improvement(v, base)),

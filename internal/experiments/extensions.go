@@ -5,7 +5,6 @@ import (
 	"timekeeping/internal/report"
 	"timekeeping/internal/sim"
 	"timekeeping/internal/stats"
-	"timekeeping/internal/workload"
 )
 
 // This file holds experiments beyond the paper's figures: the future-work
@@ -27,13 +26,7 @@ func ExtDecay(r *Runner) []*report.Table {
 		// A plain sim run with the decay evaluation attached: memoised
 		// through the shared cache and covered by audit mode, unlike the
 		// hand-rolled hierarchy this used before.
-		opts := r.Opts
-		opts.DecayIntervals = decay.DefaultIntervals
-		opts.Events = r.Events
-		res, err := r.run("ext-decay", b, opts)
-		if err != nil {
-			panic(err)
-		}
+		res := r.point("ext-decay", b, func(o *sim.Options) { o.DecayIntervals = decay.DefaultIntervals })
 
 		offRow, costRow := []string{b}, []string{b}
 		for _, d := range res.Decay {
@@ -61,9 +54,7 @@ func ExtAdaptiveVictim(r *Runner) []*report.Table {
 		base := r.get(cfgBase, b)
 		sres := r.get(cfgVDecay, b)
 
-		opts := r.Opts
-		opts.VictimFilter = sim.VictimAdaptive
-		ares := sim.MustRun(workload.MustProfile(b), opts)
+		ares := r.point("ext-adaptive", b, func(o *sim.Options) { o.VictimFilter = sim.VictimAdaptive })
 
 		sg, ag := sim.Improvement(sres, base), sim.Improvement(ares, base)
 		t.AddRow(b, report.PctPoints(sg), report.PctPoints(ag),
@@ -89,9 +80,7 @@ func ExtReloadFilter(r *Runner) []*report.Table {
 	}
 	for _, b := range benchSubset(r, []string{"twolf", "vpr", "crafty", "parser", "swim", "ammp"}) {
 		base := r.get(cfgBase, b)
-		opts := r.Opts
-		opts.VictimFilter = sim.VictimReload
-		rres := sim.MustRun(workload.MustProfile(b), opts)
+		rres := r.point("ext-reloadfilter", b, func(o *sim.Options) { o.VictimFilter = sim.VictimReload })
 		t.AddRow(b,
 			report.PctPoints(sim.Improvement(r.get(cfgVNone, b), base)),
 			report.PctPoints(sim.Improvement(r.get(cfgVDecay, b), base)),
@@ -114,9 +103,7 @@ func ExtNextLine(r *Runner) []*report.Table {
 	var nls, dbs, tks []float64
 	for _, b := range benchSubset(r, []string{"swim", "applu", "facerec", "ammp", "mcf", "twolf", "gcc", "art"}) {
 		base := r.get(cfgBase, b)
-		opts := r.Opts
-		opts.Prefetcher = sim.PrefetchNextLine
-		nres := sim.MustRun(workload.MustProfile(b), opts)
+		nres := r.point("ext-nextline", b, func(o *sim.Options) { o.Prefetcher = sim.PrefetchNextLine })
 
 		nl := sim.Improvement(nres, base)
 		db := sim.Improvement(r.get(cfgDBCP, b), base)

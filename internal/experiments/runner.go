@@ -97,13 +97,20 @@ func (r *Runner) ctx() context.Context {
 	return context.Background()
 }
 
-// options returns the named config's full option set; it panics on an
-// unknown config name.
-func (r *Runner) options(config string) sim.Options {
+// mutator returns the named config's mutator; it panics on an unknown
+// config name.
+func mutator(config string) func(*sim.Options) {
 	mutate, ok := mutators[config]
 	if !ok {
 		panic(fmt.Sprintf("experiments: unknown config %q", config))
 	}
+	return mutate
+}
+
+// options returns the option set of a point, named or ad hoc: the base
+// options changed by mutate, under the runner's sampling policy and event
+// sink.
+func (r *Runner) options(mutate func(*sim.Options)) sim.Options {
 	opts := r.Opts
 	mutate(&opts)
 	opts.Sampling = r.Sampling
@@ -118,17 +125,30 @@ func (r *Runner) Result(config, bench string) sim.Result { return r.get(config, 
 
 // get returns the cached result for (config, bench), running it if needed.
 func (r *Runner) get(config, bench string) sim.Result {
-	res, err := r.run(config, bench, r.options(config))
+	return r.point(config, bench, mutator(config))
+}
+
+// point resolves one point through run: the base options changed by
+// mutate, on bench. Every point an experiment needs, named or ad hoc,
+// goes through it, so each honours the runner's cache, context, sampling
+// policy and event sink; label names the point in its event span and
+// error. It panics with the run's error, cancellation included.
+func (r *Runner) point(label, bench string, mutate func(*sim.Options)) sim.Result {
+	res, err := r.run(label, bench, r.options(mutate))
 	if err != nil {
-		panic(fmt.Errorf("experiments: %s/%s: %w", config, bench, err))
+		panic(fmt.Errorf("experiments: %s/%s: %w", label, bench, err))
 	}
 	return res
 }
 
 // run resolves one (config, bench, opts) point through the shared cache;
 // concurrent callers of the same pair simulate once. The config name only
-// labels the point's event span — opts alone determine the cache key.
+// labels the point's event span — opts alone determine the cache key. A
+// cancelled runner starts no simulation.
 func (r *Runner) run(config, bench string, opts sim.Options) (sim.Result, error) {
+	if err := r.ctx().Err(); err != nil {
+		return sim.Result{}, err
+	}
 	spec := workload.MustProfile(bench)
 	res, _, err := r.cache().Do(r.ctx(), simcache.Key(bench, opts), func(ctx context.Context) (sim.Result, error) {
 		span := r.Events.BeginSpan(config+"/"+bench, 0)
@@ -143,7 +163,7 @@ func (r *Runner) run(config, bench string, opts sim.Options) (sim.Result, error)
 // spawned, so no more than GOMAXPROCS worker goroutines ever exist; pairs
 // another Runner already has in flight are joined, not re-simulated.
 func (r *Runner) ensure(config string, benches []string) {
-	opts := r.options(config)
+	opts := r.options(mutator(config))
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for _, bench := range benches {

@@ -29,7 +29,7 @@ func TestSampledSweepMode(t *testing.T) {
 	// The sampled key must not collide with the exact key for the same
 	// configuration.
 	exact := testRunner()
-	if simcache.Key("twolf", r.options(cfgBase)) == simcache.Key("twolf", exact.options(cfgBase)) {
+	if simcache.Key("twolf", r.options(mutators[cfgBase])) == simcache.Key("twolf", exact.options(mutators[cfgBase])) {
 		t.Fatal("sampled and exact sweeps share a cache key")
 	}
 

@@ -77,8 +77,11 @@ func (r Reference) ResetStats() { r.Hier.ResetStats() }
 // Config hands the engine an assembled simulation.
 type Config struct {
 	Machine Machine
-	Stream  trace.Stream
-	Policy  Policy
+	// Stream is the run's reference stream. The phase schedule profiles a
+	// copy of it and the segmented schedule forks every segment off it
+	// (trace.Copy), so both reject a stream that cannot be copied.
+	Stream trace.Stream
+	Policy Policy
 
 	// WarmupRefs is functionally warmed before the first detailed window;
 	// MeasureRefs is the exact-run measurement budget the window schedule
@@ -103,14 +106,6 @@ type Config struct {
 	// prototype, whose sim clock starts over at the fork, so segment
 	// extents would overlap on the run's one sim-cycle timeline.
 	Events *events.Sink
-
-	// SegmentStream returns an independent reference stream positioned
-	// `offset` references past the run's origin (after any stream-level
-	// filtering such as DropSWPrefetch). Required when
-	// Policy.SegmentWindows > 0; each call must yield a stream that
-	// reproduces the original sequence from that offset. A stream shorter
-	// than the offset should return an empty stream, not an error.
-	SegmentStream func(offset uint64) (trace.Stream, error)
 
 	// NewInstance assembles the isolated simulation instance segment seg
 	// executes on — typically clones of a cold prototype with fresh

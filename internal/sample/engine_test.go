@@ -28,6 +28,12 @@ func (s *strideStream) Next(r *trace.Ref) bool {
 	return true
 }
 
+// Copy implements trace.Copier.
+func (s *strideStream) Copy() (trace.Stream, bool) {
+	c := *s
+	return &c, true
+}
+
 func testRig(stream trace.Stream) Config {
 	h := hier.New(hier.DefaultConfig())
 	return Config{

@@ -9,6 +9,7 @@ import (
 	"timekeeping/internal/cpu"
 	"timekeeping/internal/hier"
 	"timekeeping/internal/obs"
+	"timekeeping/internal/trace"
 )
 
 // This file implements the segment-parallel schedule. The window sequence
@@ -18,7 +19,9 @@ import (
 // segment functionally re-warms WarmupRefs its windows land on the very
 // stream positions the classic schedule would have measured; only the
 // warm state differs (rebuilt locally per segment instead of carried
-// across the whole run).
+// across the whole run). The forks are copies taken from one walk over
+// the run's stream (forkSegments), so no reference is generated twice
+// to reach a fork.
 //
 // Determinism argument: the segmentation, every segment's schedule, and
 // the pooling pass are pure functions of (Policy, WarmupRefs,
@@ -28,6 +31,10 @@ import (
 // therefore influence neither which windows are measured nor the order
 // their samples enter the Ratio estimators: the estimate is bit-identical
 // at every Parallelism level.
+
+// forkCheckEvery is how many references the fork walk takes between
+// context checks, as phase.Signatures does.
+const forkCheckEvery = 8192
 
 // segWindow is one measured window's deltas, kept per window so pooling
 // runs in fixed window order regardless of completion order.
@@ -45,10 +52,20 @@ type segResult struct {
 	err          error
 }
 
+// segJob is one segment handed to a worker: its index and its fork.
+type segJob struct {
+	seg    int
+	stream trace.Stream
+}
+
 // runSegmented executes the segment-parallel schedule.
 func runSegmented(ctx context.Context, cfg Config, pol Policy, maxW int) (Outcome, error) {
-	if cfg.SegmentStream == nil || cfg.NewInstance == nil {
-		return Outcome{}, fmt.Errorf("sample: segmented sampling needs Config.SegmentStream and Config.NewInstance")
+	if cfg.NewInstance == nil {
+		return Outcome{}, fmt.Errorf("sample: segmented sampling needs Config.NewInstance")
+	}
+	first, ok := trace.Copy(cfg.Stream)
+	if !ok {
+		return Outcome{}, fmt.Errorf("sample: segmented sampling needs a stream that can be copied for its segment forks")
 	}
 	period := pol.period()
 	sw := pol.SegmentWindows
@@ -64,30 +81,25 @@ func runSegmented(ctx context.Context, cfg Config, pol Policy, maxW int) (Outcom
 	cfg.Progress.Begin(obs.PhaseWarmup, expected)
 
 	results := make([]segResult, numSeg)
-	segCh := make(chan int)
+	jobs := make(chan segJob)
 	var wg sync.WaitGroup
 	for i := 0; i < par; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for k := range segCh {
-				wk := sw
-				if first := k * sw; maxW-first < wk {
-					wk = maxW - first
-				}
-				res := runSegment(ctx, cfg, pol, k, uint64(k)*uint64(sw)*period, wk)
+			for j := range jobs {
+				wk := min(sw, maxW-j.seg*sw)
+				res := runSegment(ctx, cfg, pol, j.seg, j.stream, wk)
 				if cfg.testSegmentDone != nil {
-					cfg.testSegmentDone(k)
+					cfg.testSegmentDone(j.seg)
 				}
-				results[k] = res
+				results[j.seg] = res
 				ctrSegments.Inc()
 			}
 		}()
 	}
-	for k := 0; k < numSeg; k++ {
-		segCh <- k
-	}
-	close(segCh)
+	forkErr := forkSegments(ctx, cfg.Stream, first, numSeg, uint64(sw)*period, jobs)
+	close(jobs)
 	wg.Wait()
 
 	var (
@@ -115,6 +127,9 @@ func runSegmented(ctx context.Context, cfg Config, pol Policy, maxW int) (Outcom
 			pool.add(w.cpu, w.hier)
 		}
 	}
+	if forkErr != nil {
+		return agg, forkErr
+	}
 	for k := range results {
 		if results[k].err != nil {
 			return agg, results[k].err
@@ -128,17 +143,40 @@ func runSegmented(ctx context.Context, cfg Config, pol Policy, maxW int) (Outcom
 	return agg, nil
 }
 
-// runSegment replays one segment on its own instance: re-derive the
-// stream at the segment's fork offset, then walk wk periodic windows
-// after re-warming WarmupRefs. The walk takes no warming span after the
-// segment's last window, since the next segment re-warms from its own
-// fork, and records no spans (see Config.Events).
-func runSegment(ctx context.Context, cfg Config, pol Policy, seg int, offset uint64, wk int) (r segResult) {
-	stream, err := cfg.SegmentStream(offset)
-	if err != nil {
-		r.err = fmt.Errorf("sample: segment %d stream: %w", seg, err)
-		return r
+// forkSegments walks s once and hands segment k a copy of s taken
+// k·stride references in; segment 0 gets fork, taken at the origin. A
+// fork past the stream's end replays nothing. The walk checks ctx every
+// forkCheckEvery references and dispatches no segment once ctx is done;
+// it then returns ctx's error.
+func forkSegments(ctx context.Context, s, fork trace.Stream, numSeg int, stride uint64, jobs chan<- segJob) error {
+	var r trace.Ref
+	for k := 0; ; k++ {
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		select {
+		case jobs <- segJob{seg: k, stream: fork}:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		if k+1 == numSeg {
+			return nil
+		}
+		for i := uint64(0); i < stride && s.Next(&r); i++ {
+			if i%forkCheckEvery == 0 && ctx.Err() != nil {
+				return ctx.Err()
+			}
+		}
+		fork, _ = trace.Copy(s) // s was copied at the origin, so it copies here too
 	}
+}
+
+// runSegment replays one segment on its own instance: walk wk periodic
+// windows over the segment's fork after re-warming WarmupRefs. The walk
+// takes no warming span after the segment's last window, since the next
+// segment re-warms from its own fork, and records no spans (see
+// Config.Events).
+func runSegment(ctx context.Context, cfg Config, pol Policy, seg int, stream trace.Stream, wk int) (r segResult) {
 	inst, err := cfg.NewInstance(seg)
 	if err != nil {
 		r.err = fmt.Errorf("sample: segment %d instance: %w", seg, err)

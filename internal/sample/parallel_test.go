@@ -14,15 +14,12 @@ import (
 	"timekeeping/internal/trace"
 )
 
-// segmentedRig extends testRig with the segment hooks: stream forks are
-// served by index (strideStream is a pure function of its counter) and
-// every segment gets a fresh cold CPU/hierarchy instance.
+// segmentedRig extends testRig with the segment hook: every segment gets
+// a fresh cold CPU/hierarchy instance, and replays a copy of the stream
+// taken at its fork.
 func segmentedRig(blocks uint64, segWindows int) Config {
 	cfg := testRig(&strideStream{blocks: blocks})
 	cfg.Policy.SegmentWindows = segWindows
-	cfg.SegmentStream = func(offset uint64) (trace.Stream, error) {
-		return &strideStream{i: offset, blocks: blocks}, nil
-	}
 	cfg.NewInstance = func(seg int) (Instance, error) {
 		h := hier.New(hier.DefaultConfig())
 		return Instance{Machine: Reference{CPU: cpu.New(cpu.DefaultConfig(), h), Hier: h}}, nil
@@ -153,6 +150,85 @@ func TestSampleSegmentedMissingHooks(t *testing.T) {
 	}
 }
 
+// TestSampleSegmentedRequiresCopyableStream: every segment replays a copy
+// of the stream, so a stream that cannot be copied is rejected before any
+// segment instance is built.
+func TestSampleSegmentedRequiresCopyableStream(t *testing.T) {
+	cfg := segmentedRig(4096, 4)
+	cfg.Stream = struct{ trace.Stream }{cfg.Stream}
+	built := 0
+	inner := cfg.NewInstance
+	cfg.NewInstance = func(seg int) (Instance, error) {
+		built++
+		return inner(seg)
+	}
+	if _, err := Run(context.Background(), cfg); err == nil {
+		t.Fatal("segmented run over a stream that cannot be copied accepted")
+	}
+	if built != 0 {
+		t.Fatalf("rejected run built %d segment instances", built)
+	}
+}
+
+// cancelAt is a stream that cancels its context when it reaches
+// reference at. Its copies do not, so only the walk that forks the
+// segments can cancel.
+type cancelAt struct {
+	strideStream
+	at     uint64
+	cancel context.CancelFunc
+}
+
+func (s *cancelAt) Next(r *trace.Ref) bool {
+	if s.i == s.at {
+		s.cancel()
+	}
+	return s.strideStream.Next(r)
+}
+
+// TestSampleSegmentedCancelStopsDispatch: once the context is done, the
+// fork walk stops within forkCheckEvery references, hands out no further
+// segment, and the run returns the context's error — whether the context
+// was cancelled before the run or during the walk.
+func TestSampleSegmentedCancelStopsDispatch(t *testing.T) {
+	const stride = 8 * 1344 // eight windows per segment, more than forkCheckEvery
+	for _, at := range []uint64{0, stride + 5} {
+		ctx, cancel := context.WithCancel(context.Background())
+		cfg := segmentedRig(4096, 8)
+		cfg.Policy.MaxWindows = 32 // four segments
+		walk := &cancelAt{strideStream: strideStream{blocks: 4096}, at: at, cancel: cancel}
+		cfg.Stream = walk
+		if at == 0 {
+			cancel()
+		}
+		var mu sync.Mutex
+		var segs []int
+		inner := cfg.NewInstance
+		cfg.NewInstance = func(seg int) (Instance, error) {
+			mu.Lock()
+			segs = append(segs, seg)
+			mu.Unlock()
+			return inner(seg)
+		}
+		_, err := Run(ctx, cfg)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancel at ref %d: err = %v, want context.Canceled", at, err)
+		}
+		// The walk reaches ref stride+5 on its way to segment 2's fork.
+		want := []int(nil)
+		if at > 0 {
+			want = []int{0, 1}
+		}
+		if !reflect.DeepEqual(segs, want) {
+			t.Fatalf("cancel at ref %d: dispatched segments %v, want %v", at, segs, want)
+		}
+		if at > 0 && walk.i >= 2*stride {
+			t.Fatalf("cancel at ref %d: the walk went on to ref %d, past the next fork", at, walk.i)
+		}
+		cancel()
+	}
+}
+
 // TestSampleSegmentedStreamEndsBeforeFirstWindow: when every segment's
 // fork is past the stream end (or warm-up exhausts it), the run reports
 // ErrNoWindows rather than an empty estimate.
@@ -160,12 +236,6 @@ func TestSampleSegmentedStreamEndsBeforeFirstWindow(t *testing.T) {
 	refs := trace.Collect(&strideStream{blocks: 64}, 1000)
 	cfg := segmentedRig(64, 4)
 	cfg.Stream = &trace.SliceStream{Refs: refs}
-	cfg.SegmentStream = func(offset uint64) (trace.Stream, error) {
-		if offset >= uint64(len(refs)) {
-			return &trace.SliceStream{}, nil
-		}
-		return &trace.SliceStream{Refs: refs[offset:]}, nil
-	}
 	_, err := Run(context.Background(), cfg)
 	if !errors.Is(err, ErrNoWindows) {
 		t.Fatalf("err = %v, want ErrNoWindows", err)
@@ -181,12 +251,6 @@ func TestSampleSegmentedShortStreamKeepsMeasuredWindows(t *testing.T) {
 	refs := trace.Collect(&strideStream{blocks: 4096}, 2048+2*(64+256+1024)+100)
 	cfg := segmentedRig(4096, 4)
 	cfg.Stream = &trace.SliceStream{Refs: refs}
-	cfg.SegmentStream = func(offset uint64) (trace.Stream, error) {
-		if offset >= uint64(len(refs)) {
-			return &trace.SliceStream{}, nil
-		}
-		return &trace.SliceStream{Refs: refs[offset:]}, nil
-	}
 	out, err := Run(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)

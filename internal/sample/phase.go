@@ -8,6 +8,7 @@ import (
 	"timekeeping/internal/hier"
 	"timekeeping/internal/obs"
 	"timekeeping/internal/phase"
+	"timekeeping/internal/trace"
 )
 
 // This file implements the phase-aware schedule (Policy.Schedule ==
@@ -41,8 +42,11 @@ var (
 // single-timeline walk that places each window at its representative
 // interval.
 func runPhase(ctx context.Context, cfg Config, pol Policy, maxW int) (Outcome, error) {
-	if cfg.SegmentStream == nil {
-		return Outcome{}, fmt.Errorf("sample: the phase schedule needs Config.SegmentStream (a re-derivable stream for the profiling pass)")
+	// The profiling pass walks a copy taken before warm-up; the
+	// measurement pass then walks the stream itself from the same origin.
+	ps, ok := trace.Copy(cfg.Stream)
+	if !ok {
+		return Outcome{}, fmt.Errorf("sample: the phase schedule needs a stream that can be copied for its profiling pass")
 	}
 	nIv := pol.PhaseIntervals
 	ivLen := cfg.MeasureRefs / uint64(nIv)
@@ -53,10 +57,6 @@ func runPhase(ctx context.Context, cfg Config, pol Policy, maxW int) (Outcome, e
 
 	// Profiling pass: signatures over the measure span (the warm-up span
 	// is skipped — the periodic schedules never measure it either).
-	ps, err := cfg.SegmentStream(0)
-	if err != nil {
-		return Outcome{}, fmt.Errorf("sample: phase profiling stream: %w", err)
-	}
 	sigs, profiled, err := phase.Signatures(ctx, ps, cfg.WarmupRefs, ivLen, nIv, phase.Config{Seed: pol.PhaseSeed})
 	if err != nil {
 		return Outcome{}, err

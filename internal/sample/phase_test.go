@@ -103,6 +103,12 @@ func (s *phaseStream) Next(r *trace.Ref) bool {
 	return true
 }
 
+// Copy implements trace.Copier.
+func (s *phaseStream) Copy() (trace.Stream, bool) {
+	c := *s
+	return &c, true
+}
+
 func phaseRig(ivLen uint64) Config {
 	h := hier.New(hier.DefaultConfig())
 	return Config{
@@ -114,9 +120,6 @@ func phaseRig(ivLen uint64) Config {
 		},
 		WarmupRefs:  2048,
 		MeasureRefs: 16 * (256 + 1024 + 64),
-		SegmentStream: func(offset uint64) (trace.Stream, error) {
-			return &phaseStream{i: offset, ivLen: ivLen}, nil
-		},
 	}
 }
 
@@ -215,11 +218,17 @@ func TestPhaseEngineDeterministic(t *testing.T) {
 	}
 }
 
+// TestPhaseEngineRequiresSegmentStream: the profiling pass walks a copy
+// of the stream, so a stream that cannot be copied is rejected before
+// the machine takes a step.
 func TestPhaseEngineRequiresSegmentStream(t *testing.T) {
 	cfg := phaseRig(1344)
-	cfg.SegmentStream = nil
+	cfg.Stream = struct{ trace.Stream }{cfg.Stream}
 	if _, err := Run(context.Background(), cfg); err == nil {
-		t.Fatal("phase run without SegmentStream accepted")
+		t.Fatal("phase run over a stream that cannot be copied accepted")
+	}
+	if refs := cfg.Machine.Snapshot().Refs; refs != 0 {
+		t.Fatalf("rejected phase run stepped %d references", refs)
 	}
 }
 

@@ -106,9 +106,10 @@ type Policy struct {
 	MaxWindows int `json:"max_windows,omitempty"`
 	// SegmentWindows, when > 0, selects the segment-parallel schedule: the
 	// window sequence is partitioned into contiguous segments of this many
-	// windows, and each segment re-derives the reference stream at its
-	// boundary, functionally re-warms WarmupRefs from there, and replays
-	// its windows on an isolated simulation instance. Windows keep the
+	// windows, and each segment takes a copy of the reference stream at its
+	// boundary (from one pass over the stream), functionally re-warms
+	// WarmupRefs from there, and replays its windows on an isolated
+	// simulation instance. Windows keep the
 	// exact stream positions of the classic single-timeline schedule, but
 	// each segment's warm state is rebuilt locally instead of carried from
 	// the run's start, so estimates differ slightly — the field marshals,

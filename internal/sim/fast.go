@@ -58,7 +58,7 @@ func assembleFast(opt Options, e *engine.Engine, tr *core.FastTracker, ev *event
 // sequence and result assembly mirror runReference exactly, and both
 // share runExact and runSampled; the differential gates hold the two
 // paths byte-identical.
-func runFast(ctx context.Context, name string, stream trace.Stream, factory func() (trace.Stream, error), opt Options) (Result, error) {
+func runFast(ctx context.Context, name string, stream trace.Stream, opt Options) (Result, error) {
 	e := engine.New(engine.Config{Hier: opt.Hier, CPU: opt.CPU})
 	e.SetEvents(opt.Events)
 	var tr *core.FastTracker
@@ -89,7 +89,7 @@ func runFast(ctx context.Context, name string, stream trace.Stream, factory func
 			}
 			return assembleFast(opt, e.Clone(), tr2, nil)
 		}
-		return runSampled(ctx, name, r, fork, stream, factory, opt)
+		return runSampled(ctx, name, r, fork, stream, opt)
 	}
 
 	var aud *oracle.Auditor

@@ -6,42 +6,15 @@ import (
 
 	"timekeeping/internal/core"
 	"timekeeping/internal/sample"
-	"timekeeping/internal/trace"
 	"timekeeping/internal/victim"
 )
 
 // This file supplies the sim-side plumbing for segment-parallel sampling
-// (sample.Policy.SegmentWindows > 0), for either engine: forking the
-// reference stream at segment boundaries, building isolated simulation
-// instances from a cold prototype, and pooling per-segment mechanism
-// outputs in fixed segment order so the result is independent of worker
-// scheduling.
-
-// segmentStream returns the sample.Config.SegmentStream hook: re-derive
-// the stream from its origin, apply the same stream-level filtering the
-// run uses, then skip to the segment's fork offset. Offsets are counted
-// in post-filter references, so replaying the filter from scratch
-// reproduces its carry state deterministically.
-func segmentStream(factory func() (trace.Stream, error), opt Options) func(offset uint64) (trace.Stream, error) {
-	return func(offset uint64) (trace.Stream, error) {
-		st, err := factory()
-		if err != nil {
-			return nil, err
-		}
-		if opt.DropSWPrefetch {
-			st = &trace.DropSWPrefetch{S: st}
-		}
-		var r trace.Ref
-		for skipped := uint64(0); skipped < offset; skipped++ {
-			if !st.Next(&r) {
-				// The fork sits past the stream's end: the segment has
-				// nothing to replay (zero windows, not an error).
-				return &trace.SliceStream{}, nil
-			}
-		}
-		return st, nil
-	}
-}
+// (sample.Policy.SegmentWindows > 0), for either engine: building
+// isolated simulation instances from a cold prototype, and pooling
+// per-segment mechanism outputs in fixed segment order so the result is
+// independent of worker scheduling. The sample package forks the
+// reference stream itself.
 
 // segmentOutputs collects each finished segment's outputs as concurrent
 // workers complete them, and pools them afterwards.

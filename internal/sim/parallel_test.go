@@ -191,16 +191,11 @@ func TestSampledParallelSpeedup(t *testing.T) {
 	}
 }
 
-// TestSampledParallelStreamFactoryRequired: explicit streams without a
-// re-derivable factory cannot run the segmented schedule.
-func TestSampledParallelStreamFactoryRequired(t *testing.T) {
-	spec := workload.MustProfile("gcc")
-	stream := spec.Stream(1)
-	opt := parallelOptions("base", 2)
-	_, err := sim.Run(context.Background(), sim.Spec{Name: "explicit", Stream: stream, Opts: opt})
-	if err == nil {
-		t.Fatal("segmented run over a bare explicit stream accepted")
-	}
+// TestSampledParallelRejectsUncopyableStream: every segment replays a
+// copy of the stream, so an explicit stream that cannot be copied, such
+// as a trace file reader, is rejected before the run reads it.
+func TestSampledParallelRejectsUncopyableStream(t *testing.T) {
+	checkRejectedUnread(t, parallelOptions("base", 2))
 }
 
 func init() {

@@ -291,15 +291,12 @@ func TestPhasePolicyCacheKeys(t *testing.T) {
 	}
 }
 
-// TestPhaseNeedsRederivableStream: an explicit stream without a factory
-// cannot be profiled twice, so the run must be rejected up front.
-func TestPhaseNeedsRederivableStream(t *testing.T) {
+// TestPhaseRejectsUncopyableStream: the profiling pass walks a copy of
+// the stream, so an explicit stream that cannot be copied, such as a
+// trace file reader, is rejected before the run reads it.
+func TestPhaseRejectsUncopyableStream(t *testing.T) {
 	opt := phaseOptions()
 	opt.WarmupRefs = 1_000
 	opt.MeasureRefs = 70_000
-	spec := workload.MustProfile("gcc")
-	_, err := sim.Run(context.Background(), sim.Spec{Name: "explicit", Stream: spec.Stream(1), Opts: opt})
-	if err == nil {
-		t.Fatal("phase run with a non-rederivable stream accepted")
-	}
+	checkRejectedUnread(t, opt)
 }

@@ -233,16 +233,11 @@ type Spec struct {
 	Workload workload.Spec
 
 	// Stream, when non-nil, replays an explicit reference stream (e.g. a
-	// saved trace file) instead of generating one from Workload.
+	// saved trace file) instead of generating one from Workload. The phase
+	// and segmented sampling schedules take copies of the stream
+	// (trace.Copy), so they reject one that cannot be copied, such as a
+	// trace.Reader; load a trace into a trace.SliceStream for them.
 	Stream trace.Stream
-
-	// StreamFactory, when non-nil, re-derives an independent copy of the
-	// explicit Stream from its origin; each call must yield a stream that
-	// reproduces the same reference sequence. Segment-parallel sampling
-	// (sample.Policy.SegmentWindows > 0) needs it to fork the stream at
-	// segment boundaries — workload-backed specs re-derive theirs from the
-	// seed automatically and can leave it nil. Ignored for exact runs.
-	StreamFactory func() (trace.Stream, error)
 
 	// Name labels the result; it defaults to Workload.Name when a
 	// workload supplies the stream.
@@ -302,18 +297,14 @@ func Run(ctx context.Context, s Spec) (Result, error) {
 }
 
 // runFunc simulates a validated run: stream under opt, labelled name.
-// factory re-derives the (unfiltered) stream from its origin; it may be
-// nil, in which case the phase and segmented sampling schedules are
-// unavailable. Production runs take runFast; runReference is the tests'
-// oracle.
-type runFunc func(ctx context.Context, name string, stream trace.Stream, factory func() (trace.Stream, error), opt Options) (Result, error)
+// Production runs take runFast; runReference is the tests' oracle.
+type runFunc func(ctx context.Context, name string, stream trace.Stream, opt Options) (Result, error)
 
 // run validates s and hands it to simulate.
 func run(ctx context.Context, s Spec, simulate runFunc) (Result, error) {
 	opt := s.Opts
 	name := s.Name
 	stream := s.Stream
-	factory := s.StreamFactory
 	if stream == nil {
 		if err := s.Workload.Validate(); err != nil {
 			return Result{}, err
@@ -322,12 +313,6 @@ func run(ctx context.Context, s Spec, simulate runFunc) (Result, error) {
 			name = s.Workload.Name
 		}
 		stream = s.Workload.Stream(opt.Seed)
-		if factory == nil {
-			// Workload streams are pure functions of (spec, seed): segment
-			// forks re-derive them for free.
-			wl, seed := s.Workload, opt.Seed
-			factory = func() (trace.Stream, error) { return wl.Stream(seed), nil }
-		}
 	}
 	if err := opt.Hier.Validate(); err != nil {
 		return Result{}, err
@@ -346,7 +331,7 @@ func run(ctx context.Context, s Spec, simulate runFunc) (Result, error) {
 			return Result{}, ErrSampledAudit
 		}
 	}
-	return simulate(ctx, name, stream, factory, opt)
+	return simulate(ctx, name, stream, opt)
 }
 
 // newVictimCache builds the configured victim cache (nil when off);
@@ -573,7 +558,7 @@ func assembleReference(opt Options, h *hier.Hierarchy, m *cpu.Model, tr *core.Tr
 // executable specification the engine is tested against. It captures
 // events at the hierarchy's own emit sites, but never audits, and its
 // core reports no progress: those hooks live in the engine alone.
-func runReference(ctx context.Context, name string, stream trace.Stream, factory func() (trace.Stream, error), opt Options) (Result, error) {
+func runReference(ctx context.Context, name string, stream trace.Stream, opt Options) (Result, error) {
 	h := hier.New(opt.Hier)
 	h.SetEvents(opt.Events)
 	var tr *core.Tracker
@@ -598,7 +583,7 @@ func runReference(ctx context.Context, name string, stream trace.Stream, factory
 			}
 			return assembleReference(opt, h2, m.Clone(h2), tr2, nil)
 		}
-		return runSampled(ctx, name, r, fork, stream, factory, opt)
+		return runSampled(ctx, name, r, fork, stream, opt)
 	}
 	return runExact(ctx, name, r, stream, opt, nil)
 }
@@ -660,9 +645,8 @@ func runExact(ctx context.Context, name string, r *rig, stream trace.Stream, opt
 // reference; sample owns the warm/measure alternation and the progress
 // lifecycle, and tracker metrics accumulate only inside detailed windows.
 // fork builds a segment instance off the rig's cold state (segmented
-// policies only). factory re-derives the unfiltered stream; it may be
-// nil, in which case the phase and segmented schedules are unavailable.
-func runSampled(ctx context.Context, name string, r *rig, fork func() (*rig, error), stream trace.Stream, factory func() (trace.Stream, error), opt Options) (Result, error) {
+// policies only).
+func runSampled(ctx context.Context, name string, r *rig, fork func() (*rig, error), stream trace.Stream, opt Options) (Result, error) {
 	var warmables []sample.Warmable
 	if r.tracker != nil {
 		warmables = append(warmables, r.tracker)
@@ -679,20 +663,8 @@ func runSampled(ctx context.Context, name string, r *rig, fork func() (*rig, err
 	}
 	var segs *segmentOutputs
 	if opt.Sampling.SegmentWindows > 0 {
-		if factory == nil {
-			return Result{}, fmt.Errorf("sim: segment-parallel sampling needs a re-derivable stream (workload-backed runs, or Spec.StreamFactory for explicit streams)")
-		}
 		segs = &segmentOutputs{byID: make(map[int]outputs)}
-		scfg.SegmentStream = segmentStream(factory, opt)
 		scfg.NewInstance = segs.newInstance(fork)
-	}
-	if opt.Sampling.Schedule == sample.SchedulePhase {
-		// The phase schedule re-derives the stream for its profiling
-		// pass (signature extraction), then measures on the primary.
-		if factory == nil {
-			return Result{}, fmt.Errorf("sim: phase-aware sampling needs a re-derivable stream (workload-backed runs, or Spec.StreamFactory for explicit streams)")
-		}
-		scfg.SegmentStream = segmentStream(factory, opt)
 	}
 	out, err := sample.Run(ctx, scfg)
 	if err != nil {

@@ -69,6 +69,25 @@ type Stream interface {
 	Next(r *Ref) bool
 }
 
+// Copier is a Stream that can be copied at its current position. The
+// copy yields what the original would yield from there on, and advancing
+// one leaves the other alone. Copy reports false when the stream cannot
+// be copied after all, as a wrapper around one that cannot.
+type Copier interface {
+	Stream
+	Copy() (Stream, bool)
+}
+
+// Copy copies s at its current position. It reports false when s cannot
+// be copied: a trace file reader, for one, cannot.
+func Copy(s Stream) (Stream, bool) {
+	c, ok := s.(Copier)
+	if !ok {
+		return nil, false
+	}
+	return c.Copy()
+}
+
 // SliceStream replays a fixed slice of references once.
 type SliceStream struct {
 	Refs []Ref
@@ -85,27 +104,11 @@ func (s *SliceStream) Next(r *Ref) bool {
 	return true
 }
 
-// Reset rewinds the stream to the beginning.
-func (s *SliceStream) Reset() { s.pos = 0 }
-
-// Limit wraps a stream and stops after n references.
-type Limit struct {
-	S Stream
-	N uint64
-
-	done uint64
-}
-
-// Next implements Stream.
-func (l *Limit) Next(r *Ref) bool {
-	if l.done >= l.N {
-		return false
-	}
-	if !l.S.Next(r) {
-		return false
-	}
-	l.done++
-	return true
+// Copy implements Copier; the copy shares the slice, which neither
+// writes.
+func (s *SliceStream) Copy() (Stream, bool) {
+	c := *s
+	return &c, true
 }
 
 // DropSWPrefetch wraps a stream and removes software prefetches, the
@@ -131,6 +134,15 @@ func (d *DropSWPrefetch) Next(r *Ref) bool {
 		}
 		d.carry += r.Gap + 1
 	}
+}
+
+// Copy implements Copier: it copies the wrapped stream and the carry.
+func (d *DropSWPrefetch) Copy() (Stream, bool) {
+	s, ok := Copy(d.S)
+	if !ok {
+		return nil, false
+	}
+	return &DropSWPrefetch{S: s, carry: d.carry}, true
 }
 
 // Collect drains up to n references from s into a slice.

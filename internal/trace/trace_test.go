@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -34,35 +36,83 @@ func TestSliceStream(t *testing.T) {
 	if s.Next(&r) {
 		t.Fatal("stream should be exhausted")
 	}
-	s.Reset()
-	if !s.Next(&r) || r.Addr != 1 {
-		t.Fatal("Reset failed")
+}
+
+// drain reads s to its end.
+func drain(s Stream) []Ref {
+	var out []Ref
+	var r Ref
+	for s.Next(&r) {
+		out = append(out, r)
+	}
+	return out
+}
+
+// TestStreamCopySlice: a copy of a SliceStream taken mid-way yields the
+// rest of the slice, and the two advance independently.
+func TestStreamCopySlice(t *testing.T) {
+	refs := []Ref{{Addr: 1}, {Addr: 2}, {Addr: 3}, {Addr: 4}}
+	s := &SliceStream{Refs: refs}
+	var r Ref
+	s.Next(&r)
+	c, ok := Copy(s)
+	if !ok {
+		t.Fatal("SliceStream cannot be copied")
+	}
+	if got := drain(c); !reflect.DeepEqual(got, refs[1:]) {
+		t.Fatalf("copy yields %v, want %v", got, refs[1:])
+	}
+	if got := drain(s); !reflect.DeepEqual(got, refs[1:]) {
+		t.Fatalf("original after draining its copy yields %v, want %v", got, refs[1:])
+	}
+	if c, ok := Copy(s); !ok || c.Next(&r) {
+		t.Fatal("a copy of an exhausted stream should be exhausted")
 	}
 }
 
-func TestLimit(t *testing.T) {
-	s := &SliceStream{Refs: make([]Ref, 10)}
-	l := &Limit{S: s, N: 4}
+// TestStreamCopyDropSWPrefetch: a copy of the filter taken in front of
+// dropped prefetches folds their gaps as the original does, and only a
+// copyable stream beneath it makes it copyable.
+func TestStreamCopyDropSWPrefetch(t *testing.T) {
+	refs := []Ref{
+		{Addr: 1, Kind: Load, Gap: 2},
+		{Addr: 2, Kind: SWPrefetch, Gap: 3},
+		{Addr: 3, Kind: Store, Gap: 1},
+		{Addr: 4, Kind: SWPrefetch, Gap: 6},
+		{Addr: 5, Kind: Load, Gap: 0},
+	}
+	want := drain(&DropSWPrefetch{S: &SliceStream{Refs: refs}})
+	d := &DropSWPrefetch{S: &SliceStream{Refs: refs}}
 	var r Ref
-	n := 0
-	for l.Next(&r) {
-		n++
+	d.Next(&r)
+	c, ok := Copy(d)
+	if !ok {
+		t.Fatal("DropSWPrefetch over a SliceStream cannot be copied")
 	}
-	if n != 4 {
-		t.Fatalf("Limit produced %d refs, want 4", n)
+	if got := drain(c); !reflect.DeepEqual(got, want[1:]) {
+		t.Fatalf("copy yields %v, want %v", got, want[1:])
 	}
-}
+	if got := drain(d); !reflect.DeepEqual(got, want[1:]) {
+		t.Fatalf("original yields %v, want %v", got, want[1:])
+	}
 
-func TestLimitShorterStream(t *testing.T) {
-	s := &SliceStream{Refs: make([]Ref, 2)}
-	l := &Limit{S: s, N: 100}
-	var r Ref
-	n := 0
-	for l.Next(&r) {
-		n++
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n != 2 {
-		t.Fatalf("Limit produced %d refs, want 2", n)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := Copy(rd); ok {
+		t.Fatal("a trace Reader claims it can be copied")
+	}
+	if _, ok := Copy(&DropSWPrefetch{S: rd}); ok {
+		t.Fatal("DropSWPrefetch over a Reader claims it can be copied")
 	}
 }
 

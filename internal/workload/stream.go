@@ -96,6 +96,22 @@ type stream struct {
 	left     int
 }
 
+// Copy implements trace.Copier. It copies the generator, the burst cursor
+// and each pattern's cursors; the burst lengths, chase permutations and
+// conflict set orders are never written after construction, so the copy
+// shares them.
+func (s *stream) Copy() (trace.Stream, bool) {
+	c := *s
+	rnd := *s.rnd
+	c.rnd = &rnd
+	c.patterns = make([]*pattern, len(s.patterns))
+	for i, p := range s.patterns {
+		q := *p
+		c.patterns[i] = &q
+	}
+	return &c, true
+}
+
 // Next implements trace.Stream; workload streams never end.
 func (s *stream) Next(r *trace.Ref) bool {
 	p := s.patterns[s.cur]
