@@ -36,13 +36,6 @@ func New(widthBytes, cpuCyclesPerBus uint64) *Bus {
 	return &Bus{widthBytes: widthBytes, cpuPerBus: cpuCyclesPerBus}
 }
 
-// Clone returns an independent copy of the bus, occupancy state and
-// statistics included.
-func (b *Bus) Clone() *Bus {
-	d := *b
-	return &d
-}
-
 // occupancy returns the CPU cycles a transfer of n bytes holds the bus.
 func (b *Bus) occupancy(bytes uint64) uint64 {
 	busCycles := (bytes + b.widthBytes - 1) / b.widthBytes

@@ -127,17 +127,6 @@ func New(cfg Config) *Cache {
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Clone returns an independent copy of the cache: contents, LRU stamps and
-// dirty bits are duplicated, so the clone and the original diverge freely
-// afterwards. The instrumentation counters are shared (they are
-// process-lifetime totals by contract), which also makes them safe under
-// concurrent clones — obs counters are atomic.
-func (c *Cache) Clone() *Cache {
-	d := *c
-	d.lines = append([]line(nil), c.lines...)
-	return &d
-}
-
 // Instrument attaches cumulative counters (typically registered in an
 // obs.Registry) that the cache bumps on every access. The counters are
 // process-lifetime totals, independent of the measurement-window Stats the

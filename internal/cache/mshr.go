@@ -21,16 +21,6 @@ func NewMSHRFile(capacity int) *MSHRFile {
 	return &MSHRFile{cap: capacity, entries: make(map[uint64]uint64, capacity)}
 }
 
-// Clone returns an independent copy of the file, outstanding entries
-// included.
-func (m *MSHRFile) Clone() *MSHRFile {
-	d := &MSHRFile{cap: m.cap, entries: make(map[uint64]uint64, len(m.entries))}
-	for b, done := range m.entries {
-		d.entries[b] = done
-	}
-	return d
-}
-
 // retire drops entries that completed at or before now.
 func (m *MSHRFile) retire(now uint64) {
 	for b, done := range m.entries {

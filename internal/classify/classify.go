@@ -83,24 +83,6 @@ func New(blocks int) *Classifier {
 	}
 }
 
-// Clone returns an independent copy of the classifier: the seen set and
-// the shadow cache's exact LRU order are duplicated, so the clone answers
-// identically to the original for any subsequent access sequence.
-func (c *Classifier) Clone() *Classifier {
-	d := New(c.capacity)
-	for block := range c.seen {
-		d.seen[block] = struct{}{}
-	}
-	// Rebuild the LRU list from least to most recently used: push-fronting
-	// in tail→head order reproduces the original ordering exactly.
-	for n := c.tail; n != nil; n = n.prev {
-		nn := &node{block: n.block}
-		d.blocks[nn.block] = nn
-		d.pushFront(nn)
-	}
-	return d
-}
-
 // Access records an access to the block (block-aligned address) and
 // returns what a miss at this point would be classified as. The caller
 // decides whether the real cache actually missed; the classifier's answer

@@ -74,22 +74,6 @@ func (t *FastTracker) bindMetrics() {
 	}
 }
 
-// Clone returns an independent copy of the fast tracker: accumulated
-// metrics, per-frame generation state and the block-history table all
-// duplicate, so the clone and the original diverge freely afterwards.
-func (t *FastTracker) Clone() *FastTracker {
-	d := &FastTracker{
-		m:     NewMetrics(),
-		gens:  append([]fastGen(nil), t.gens...),
-		hist:  t.hist,
-		quiet: t.quiet,
-	}
-	d.hist.slots = append([]bhSlot(nil), t.hist.slots...)
-	d.m.Merge(t.m)
-	d.bindMetrics()
-	return d
-}
-
 // Metrics returns the accumulated metrics.
 func (t *FastTracker) Metrics() *Metrics { return t.m }
 

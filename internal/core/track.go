@@ -228,25 +228,6 @@ func NewTracker(frames int) *Tracker {
 // Metrics returns the accumulated metrics.
 func (t *Tracker) Metrics() *Metrics { return t.m }
 
-// Clone returns an independent copy of the tracker: accumulated metrics,
-// per-frame generation state and per-block histories all duplicate, so the
-// clone and the original diverge freely afterwards. OnGeneration is not
-// carried over (hooks bind to one consumer).
-func (t *Tracker) Clone() *Tracker {
-	d := &Tracker{
-		m:      NewMetrics(),
-		frames: append([]frameGen(nil), t.frames...),
-		blocks: make(map[uint64]*blockHist, len(t.blocks)),
-		quiet:  t.quiet,
-	}
-	d.m.Merge(t.m)
-	for b, bh := range t.blocks {
-		cp := *bh
-		d.blocks[b] = &cp
-	}
-	return d
-}
-
 // Reset clears accumulated statistics but keeps per-frame and per-block
 // context, so measurement can start after warm-up without losing the
 // generation in progress.

@@ -137,17 +137,6 @@ func New(cfg Config, mem MemSystem) *Model {
 	return &Model{cfg: cfg, mem: mem, sub: uint64(cfg.Width), ring: make([]retireRec, size)}
 }
 
-// Clone returns an independent copy of the core's run state bound to a new
-// memory system (typically a clone of the original's hierarchy). The
-// retirement ring is duplicated so the window constraint evolves
-// identically.
-func (m *Model) Clone(mem MemSystem) *Model {
-	d := *m
-	d.mem = mem
-	d.ring = append([]retireRec(nil), m.ring...)
-	return &d
-}
-
 // retireOf returns the retirement subcycle of instruction j, which must
 // not be newer than the last recorded reference. Between recorded
 // references, non-memory instructions retire one per subcycle after the

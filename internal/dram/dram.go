@@ -16,12 +16,6 @@ func New(latency uint64) *Memory {
 	return &Memory{latency: latency}
 }
 
-// Clone returns an independent copy of the memory.
-func (m *Memory) Clone() *Memory {
-	d := *m
-	return &d
-}
-
 // Access starts a block read/write at `now` and returns its completion.
 func (m *Memory) Access(now uint64) (done uint64) {
 	m.accesses++

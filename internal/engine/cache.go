@@ -55,18 +55,6 @@ func newSoaCache(cfg cache.Config, ctr cache.Counters) *soaCache {
 	return c
 }
 
-// clone returns an independent copy of the cache's contents and LRU
-// state. The unflushed local tallies stay with the original.
-func (c *soaCache) clone() *soaCache {
-	d := *c
-	d.tags = append([]uint64(nil), c.tags...)
-	d.used = append([]uint64(nil), c.used...)
-	d.valid = append([]uint64(nil), c.valid...)
-	d.dirty = append([]uint64(nil), c.dirty...)
-	d.accesses, d.hits, d.misses, d.writebacks = 0, 0, 0, 0
-	return &d
-}
-
 // flush drains the local observability tallies into the shared counters
 // (amortising what the reference path pays as one atomic per access).
 func (c *soaCache) flush() {

@@ -28,9 +28,8 @@
 // the reference path, proven byte-identical over the golden corpus by
 // sim's differential engine gate. That includes the functional-warming
 // step sampled runs alternate with detailed windows (RunFunctional, the
-// transcription of cpu.Model.RunFunctional over hier.AccessFunctional)
-// and the state copy segment-parallel sampling forks instances with
-// (Clone). The two optional hooks sit at the reference's own points:
+// transcription of cpu.Model.RunFunctional over hier.AccessFunctional).
+// The two optional hooks sit at the reference's own points:
 // generation events (SetEvents) are emitted where hier.Hierarchy emits
 // them, in the same order, and the lockstep auditor (SetAuditor) sees the
 // same demand, prefetch-issue and prefetch-fill calls. Both cost a nil
@@ -247,43 +246,6 @@ func New(cfg Config) *Engine {
 		e.prefetchMSHR = newSoaMSHR(cfg.Hier.PrefetchMSHRs)
 	}
 	return e
-}
-
-// Clone returns an independent copy of the engine's owned state, mirroring
-// hier.Hierarchy.Clone plus cpu.Model.Clone: core timing and the
-// retirement ring, cache contents, bus occupancy, memory, MSHRs, the
-// classifier, per-frame counters, in-flight prefetch fills and window
-// stats all duplicate, so the clone and the original diverge freely.
-//
-// Attachments are deliberately dropped, as hier's Clone drops them: the
-// clone starts with no victim cache, tracker, decay evaluation,
-// prefetcher, event sink or auditor, and callers attach fresh instances
-// (or clones) of their own; as with hier, a fresh prefetcher belongs on
-// a clone with no prefetch fills in flight, since only the issuer
-// resolves their slots.
-// The progress handle is shared — obs.Progress is atomic.
-func (e *Engine) Clone() *Engine {
-	d := *e
-	d.ring = append([]retireRec(nil), e.ring...)
-	d.l1 = e.l1.clone()
-	d.l2 = e.l2.clone()
-	d.busL2 = e.busL2.Clone()
-	d.busMem = e.busMem.Clone()
-	d.mem = e.mem.Clone()
-	d.demandMSHR = e.demandMSHR.clone()
-	if e.prefetchMSHR != nil {
-		d.prefetchMSHR = e.prefetchMSHR.clone()
-	}
-	d.classifier = e.classifier.clone()
-	d.fctr = append([]frameCtr(nil), e.fctr...)
-	d.pending = append([]pendingFill(nil), e.pending...)
-	d.pfIssuedN, d.pfUsefulN = 0, 0
-	d.victim, d.tracker, d.dec = nil, nil, nil
-	d.pf, d.tk, d.dbcp, d.nl = pfNone, nil, nil, nil
-	d.events, d.evFrames, d.evRefs = nil, nil, 0
-	d.audit, d.audL2On = nil, false
-	d.needEvent = false
-	return &d
 }
 
 // L1 returns the engine's L1 as the read-only view prefetchers consume.

@@ -23,14 +23,6 @@ func newSoaMSHR(capacity int) *soaMSHR {
 	}
 }
 
-// clone returns an independent copy of the file.
-func (m *soaMSHR) clone() *soaMSHR {
-	d := *m
-	d.blocks = append([]uint64(nil), m.blocks...)
-	d.dones = append([]uint64(nil), m.dones...)
-	return &d
-}
-
 // remove swap-deletes entry i.
 func (m *soaMSHR) remove(i int) {
 	m.n--

@@ -144,11 +144,8 @@ func (r *Runner) point(label, bench string, mutate func(*sim.Options)) sim.Resul
 // run resolves one (config, bench, opts) point through the shared cache;
 // concurrent callers of the same pair simulate once. The config name only
 // labels the point's event span — opts alone determine the cache key. A
-// cancelled runner starts no simulation.
+// cancelled runner starts no simulation: the cache refuses a done context.
 func (r *Runner) run(config, bench string, opts sim.Options) (sim.Result, error) {
-	if err := r.ctx().Err(); err != nil {
-		return sim.Result{}, err
-	}
 	spec := workload.MustProfile(bench)
 	res, _, err := r.cache().Do(r.ctx(), simcache.Key(bench, opts), func(ctx context.Context) (sim.Result, error) {
 		span := r.Events.BeginSpan(config+"/"+bench, 0)

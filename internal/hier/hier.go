@@ -345,40 +345,6 @@ func New(cfg Config) *Hierarchy {
 // Config returns the hierarchy's configuration.
 func (h *Hierarchy) Config() Config { return h.cfg }
 
-// Clone returns an independent copy of the hierarchy's owned state: cache
-// contents, bus occupancy, MSHR files, the Hill shadow cache, per-frame
-// counters, in-flight prefetch fills, and window stats all duplicate, so
-// the clone and original diverge freely afterwards.
-//
-// Attachments are deliberately NOT copied — the clone starts with no
-// victim buffer, prefetcher, observers or event sink. Callers
-// that need them (segment-parallel sampling) construct and attach fresh
-// instances per clone; sharing the original's attachments would alias
-// their internal state across instances. In-flight fills carry their
-// requests' slots, which only the issuing prefetcher can resolve, so a
-// fresh prefetcher belongs on a clone of a hierarchy with none in flight
-// (segment forks clone a cold prototype).
-func (h *Hierarchy) Clone() *Hierarchy {
-	d := &Hierarchy{
-		cfg:        h.cfg,
-		l1:         h.l1.Clone(),
-		l2:         h.l2.Clone(),
-		busL2:      h.busL2.Clone(),
-		busMem:     h.busMem.Clone(),
-		mem:        h.mem.Clone(),
-		demandMSHR: h.demandMSHR.Clone(),
-		classifier: h.classifier.Clone(),
-		frames:     append([]frameState(nil), h.frames...),
-		pending:    append([]pendingFill(nil), h.pending...),
-		stats:      h.stats,
-		maxNow:     h.maxNow,
-	}
-	if h.prefetchMSHR != nil {
-		d.prefetchMSHR = h.prefetchMSHR.Clone()
-	}
-	return d
-}
-
 // L1 returns the L1 data cache (read-only use by attachments).
 func (h *Hierarchy) L1() *cache.Cache { return h.l1 }
 

@@ -102,13 +102,13 @@ type Config struct {
 	// functional-warming stretch and one per detailed window — so the
 	// sampling schedule is visible on the same trace as the generation
 	// events. Nil is a valid no-op. The segment-parallel schedule records
-	// no spans: each segment runs on a machine forked from the cold
-	// prototype, whose sim clock starts over at the fork, so segment
-	// extents would overlap on the run's one sim-cycle timeline.
+	// no spans: each segment runs on a freshly built machine, whose sim
+	// clock starts at zero, so segment extents would overlap on the run's
+	// one sim-cycle timeline.
 	Events *events.Sink
 
 	// NewInstance assembles the isolated simulation instance segment seg
-	// executes on — typically clones of a cold prototype with fresh
+	// executes on — typically a freshly built machine with fresh
 	// mechanism attachments. Required when Policy.SegmentWindows > 0; it
 	// is called at most once per segment and may be called concurrently
 	// from worker goroutines.

@@ -371,6 +371,41 @@ func TestBoundedQueueRejectsOverflow(t *testing.T) {
 	waitMetric(t, ts, "tkserve_jobs_canceled_total", 2)
 }
 
+// TestQueuedCancelStartsNoFlight: a run job cancelled while it waits in
+// the queue starts no simulation when the worker picks it up — the cache
+// counts no miss for it and its view reports no cache outcome.
+func TestQueuedCancelStartsNoFlight(t *testing.T) {
+	cache := simcache.New()
+	_, ts, cl := newTestServer(t, Config{Workers: 1, Cache: cache})
+
+	j1, err := cl.RunAsync(context.Background(), foreverRun)
+	if err != nil {
+		t.Fatalf("first submit: %v", err)
+	}
+	waitMetric(t, ts, "tkserve_cache_inflight", 1) // the one worker is simulating
+	j2, err := cl.RunAsync(context.Background(), fastRun)
+	if err != nil {
+		t.Fatalf("second submit: %v", err)
+	}
+	for _, id := range []string{j2.ID, j1.ID} { // j2 while it is still queued
+		if _, err := cl.CancelJob(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitMetric(t, ts, "tkserve_jobs_canceled_total", 2)
+
+	if st := cache.Stats(); st.Misses != 1 {
+		t.Fatalf("cache counted %d misses, want 1 (the running job's): %+v", st.Misses, st)
+	}
+	snap, err := cl.Job(context.Background(), j2.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Status != api.StatusCanceled || snap.Cache != "" {
+		t.Fatalf("job cancelled while queued: status %q, cache %q", snap.Status, snap.Cache)
+	}
+}
+
 func TestGracefulShutdownDrains(t *testing.T) {
 	s, _, cl := newTestServer(t, Config{})
 

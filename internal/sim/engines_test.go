@@ -21,8 +21,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"slices"
 	"testing"
 
+	"timekeeping/internal/obs"
 	"timekeeping/internal/sample"
 	"timekeeping/internal/sim"
 	"timekeeping/internal/workload"
@@ -131,6 +133,31 @@ func TestEnginesAgreeOnCorpus(t *testing.T) {
 						t.Errorf("engines diverge:\nreference: %s\nfast:      %s", rb, fb)
 					}
 				})
+			}
+		})
+	}
+}
+
+// TestProgressCountsEveryRef checks that a run's progress handle counts
+// every reference the run simulates, under every gate schedule: done
+// must reach the expected total, and both must equal the run's TotalRefs.
+// A segmented run counts on the machines its segments build, so each of
+// them must report to the run's handle.
+func TestProgressCountsEveryRef(t *testing.T) {
+	const bench = "gcc"
+	i := slices.Index(workload.Names(), bench)
+	spec := workload.MustProfile(bench)
+	for _, sc := range gateSchedules {
+		sc := sc
+		t.Run(sc.name, func(t *testing.T) {
+			opt := gateOptions(i, sc.tune)
+			opt.Progress = &obs.Progress{}
+			res, err := sim.Run(context.Background(), sim.Spec{Workload: spec, Opts: opt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if done, want := opt.Progress.Done(), opt.Progress.Expected(); done != want || done != res.TotalRefs {
+				t.Fatalf("progress counted %d refs of %d expected; the run simulated %d", done, want, res.TotalRefs)
 			}
 		})
 	}

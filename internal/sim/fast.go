@@ -12,14 +12,18 @@ import (
 	"timekeeping/internal/trace"
 )
 
-// assembleFast attaches opt's mechanisms to the batched engine and returns
-// the rig driving it. tr, when non-nil, is the tracker to attach; ev, when
-// non-nil, receives the mechanisms' events.
-func assembleFast(opt Options, e *engine.Engine, tr *core.FastTracker, ev *events.Sink) (*rig, error) {
+// assembleFast builds the batched engine with opt's mechanisms attached and
+// returns it with the rig driving it. ev, when non-nil, receives the
+// engine's and the mechanisms' events. A sampled run builds its own machine
+// and every segment's through it.
+func assembleFast(opt Options, ev *events.Sink) (*engine.Engine, *rig, error) {
+	e := engine.New(engine.Config{Hier: opt.Hier, CPU: opt.CPU})
+	e.SetEvents(ev)
+	e.SetProgress(opt.Progress)
 	r := &rig{m: e}
 	vc, err := newVictimCache(opt, e.NumFrames())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if vc != nil {
 		vc.SetEvents(ev)
@@ -29,7 +33,7 @@ func assembleFast(opt Options, e *engine.Engine, tr *core.FastTracker, ev *event
 
 	pfs, err := newPrefetchers(opt, e.L1())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	switch {
 	case pfs.tk != nil:
@@ -41,7 +45,8 @@ func assembleFast(opt Options, e *engine.Engine, tr *core.FastTracker, ev *event
 	}
 	r.pfs = pfs
 
-	if tr != nil {
+	if opt.Track {
+		tr := core.NewFastTracker(e.NumFrames())
 		e.AttachTracker(tr)
 		r.tracker = tr
 	}
@@ -50,7 +55,7 @@ func assembleFast(opt Options, e *engine.Engine, tr *core.FastTracker, ev *event
 		r.dec.SetEvents(ev)
 		e.AttachDecay(r.dec)
 	}
-	return r, nil
+	return e, r, nil
 }
 
 // runFast drives the batched struct-of-arrays engine (internal/engine)
@@ -59,20 +64,13 @@ func assembleFast(opt Options, e *engine.Engine, tr *core.FastTracker, ev *event
 // share runExact and runSampled; the differential gates hold the two
 // paths byte-identical.
 func runFast(ctx context.Context, name string, stream trace.Stream, opt Options) (Result, error) {
-	e := engine.New(engine.Config{Hier: opt.Hier, CPU: opt.CPU})
-	e.SetEvents(opt.Events)
-	var tr *core.FastTracker
-	if opt.Track {
-		tr = core.NewFastTracker(e.NumFrames())
-	}
-	r, err := assembleFast(opt, e, tr, opt.Events)
+	e, r, err := assembleFast(opt, opt.Events)
 	if err != nil {
 		return Result{}, err
 	}
 	if opt.DropSWPrefetch {
 		stream = &trace.DropSWPrefetch{S: stream}
 	}
-	e.SetProgress(opt.Progress)
 
 	if opt.Sampling != nil {
 		// An explicit Audit was rejected in Run; TK_AUDIT-forced audit
@@ -83,11 +81,8 @@ func runFast(ctx context.Context, name string, stream trace.Stream, opt Options)
 				"bench", name)
 		}
 		fork := func() (*rig, error) {
-			var tr2 *core.FastTracker
-			if tr != nil {
-				tr2 = tr.Clone()
-			}
-			return assembleFast(opt, e.Clone(), tr2, nil)
+			_, r, err := assembleFast(opt, nil)
+			return r, err
 		}
 		return runSampled(ctx, name, r, fork, stream, opt)
 	}

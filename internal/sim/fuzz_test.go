@@ -148,16 +148,15 @@ func FuzzAuditedRun(f *testing.F) {
 	})
 }
 
-// FuzzCloneDiverge hunts for inputs where a mid-run clone diverges from
-// its original, or either engine from the other: it splits a randomly
-// shaped workload at a random point, drives the reference
-// hierarchy/CPU/tracker and the batched engine with its fast tracker
-// through the identical prefix, clones both there, drives all four
-// copies through the identical suffix — mixing the functional and
-// detailed modes the sampler alternates, with the trackers recording
-// throughout — and fails on any difference in CPU results, hierarchy
-// stats, or tracker metrics. Seeds reuse the FuzzAuditedRun corpus shape.
-func FuzzCloneDiverge(f *testing.F) {
+// FuzzMixedModes hunts for inputs where the engine drifts from the
+// reference loop across the mode switches sampled runs make: it drives
+// the reference hierarchy/CPU/tracker and the batched engine with its
+// fast tracker through the same randomly shaped workload in two
+// stretches, each split between the functional and detailed paths by the
+// mech bits, with the trackers recording throughout, and fails on any
+// difference in CPU results, hierarchy stats or tracker metrics. Seeds
+// reuse the FuzzAuditedRun corpus shape.
+func FuzzMixedModes(f *testing.F) {
 	f.Add(uint64(1), uint64(0), uint64(0), uint64(512), uint64(3), uint64(100))
 	f.Add(uint64(2), uint64(1), uint64(4), uint64(7), uint64(2), uint64(9000))
 	f.Add(uint64(3), uint64(2), uint64(3), uint64(64), uint64(1), uint64(40))
@@ -177,16 +176,15 @@ func FuzzCloneDiverge(f *testing.F) {
 			t.Fatalf("fuzzComponent built an invalid spec: %v", err)
 		}
 
-		prefix := 500 + n1%4000
-		suffix := 500 + n2%4000
-		refs := trace.Collect(spec.Stream(seed), int(prefix+suffix))
+		stretches := []uint64{500 + n1%4000, 500 + n2%4000}
+		refs := trace.Collect(spec.Stream(seed), int(stretches[0]+stretches[1]))
 
 		hcfg := hier.DefaultConfig()
 		hcfg.L1 = fuzzL1Geometries[mech%uint64(len(fuzzL1Geometries))]
 		h := hier.New(hcfg)
 		tr := core.NewTracker(h.L1().NumFrames())
 		h.AddObserver(tr)
-		m := cpu.New(cpu.DefaultConfig(), h)
+		ref := sample.Reference{CPU: cpu.New(cpu.DefaultConfig(), h), Hier: h}
 		e := engine.New(engine.Config{Hier: hcfg, CPU: cpu.DefaultConfig()})
 		ft := core.NewFastTracker(e.NumFrames())
 		e.AttachTracker(ft)
@@ -206,46 +204,21 @@ func FuzzCloneDiverge(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
-		// Split the prefix between the functional and detailed paths so
-		// clones taken after either mode are covered.
-		ref := sample.Reference{CPU: m, Hier: h}
 		sRef := &trace.SliceStream{Refs: refs}
 		sFast := &trace.SliceStream{Refs: refs}
-		run(ref, sRef, prefix, mech&1 != 0)
-		run(e, sFast, prefix, mech&1 != 0)
-		consumed := m.Snapshot().Refs
+		for i, n := range stretches {
+			functional := mech&(1<<i) != 0
+			run(ref, sRef, n, functional)
+			run(e, sFast, n, functional)
 
-		h2 := h.Clone()
-		tr2 := tr.Clone()
-		h2.AddObserver(tr2)
-		ref2 := sample.Reference{CPU: m.Clone(h2), Hier: h2}
-		e2 := e.Clone()
-		ft2 := ft.Clone()
-		e2.AttachTracker(ft2)
-
-		run(ref, sRef, suffix, mech&2 != 0)
-		run(ref2, &trace.SliceStream{Refs: refs[consumed:]}, suffix, mech&2 != 0)
-		run(e, sFast, suffix, mech&2 != 0)
-		run(e2, &trace.SliceStream{Refs: refs[consumed:]}, suffix, mech&2 != 0)
-
-		machines := []struct {
-			name string
-			mc   sample.Machine
-			tm   *core.Metrics
-		}{
-			{"reference clone", ref2, tr2.Metrics()},
-			{"engine", e, ft.Metrics()},
-			{"engine clone", e2, ft2.Metrics()},
-		}
-		for _, o := range machines {
-			if a, b := ref.Snapshot(), o.mc.Snapshot(); a != b {
-				t.Fatalf("%s: cpu snapshot diverged from the reference original:\nreference %+v\n%s %+v", o.name, a, o.name, b)
+			if a, b := ref.Snapshot(), e.Snapshot(); a != b {
+				t.Fatalf("stretch %d: cpu snapshot diverged:\nreference %+v\nengine    %+v", i, a, b)
 			}
-			if a, b := ref.Stats(), o.mc.Stats(); a != b {
-				t.Fatalf("%s: hier stats diverged from the reference original:\nreference %+v\n%s %+v", o.name, a, o.name, b)
+			if a, b := ref.Stats(), e.Stats(); a != b {
+				t.Fatalf("stretch %d: hier stats diverged:\nreference %+v\nengine    %+v", i, a, b)
 			}
-			if !reflect.DeepEqual(tr.Metrics(), o.tm) {
-				t.Fatalf("%s: tracker metrics diverged from the reference original", o.name)
+			if !reflect.DeepEqual(tr.Metrics(), ft.Metrics()) {
+				t.Fatalf("stretch %d: tracker metrics diverged", i)
 			}
 		}
 	})

@@ -10,11 +10,11 @@ import (
 )
 
 // This file supplies the sim-side plumbing for segment-parallel sampling
-// (sample.Policy.SegmentWindows > 0), for either engine: building
-// isolated simulation instances from a cold prototype, and pooling
-// per-segment mechanism outputs in fixed segment order so the result is
-// independent of worker scheduling. The sample package forks the
-// reference stream itself.
+// (sample.Policy.SegmentWindows > 0), for either engine: building each
+// segment a fresh, isolated simulation instance, and pooling per-segment
+// mechanism outputs in fixed segment order so the result is independent
+// of worker scheduling. The sample package forks the reference stream
+// itself.
 
 // segmentOutputs collects each finished segment's outputs as concurrent
 // workers complete them, and pools them afterwards.
@@ -29,13 +29,13 @@ func (s *segmentOutputs) put(seg int, o outputs) {
 	s.mu.Unlock()
 }
 
-// newInstance returns the sample.Config.NewInstance hook: fork a segment
-// instance off the cold prototype (fork clones its machine and attaches
-// fresh mechanisms — a cold fresh mechanism is identical to a cold clone,
-// and fresh construction avoids aliasing mechanism state across
-// instances), and once the segment finishes keep only its outputs. A
-// finished segment's tables — the tracker's block history above all —
-// would otherwise stay live until every segment is done.
+// newInstance returns the sample.Config.NewInstance hook: build a segment
+// instance with fork (a new machine with new mechanisms attached — every
+// segment re-warms from cold, so nothing carries over from the run's own
+// machine, which the segmented schedule never steps), and once the
+// segment finishes keep only its outputs. A finished segment's tables —
+// the tracker's block history above all — would otherwise stay live until
+// every segment is done.
 func (s *segmentOutputs) newInstance(fork func() (*rig, error)) func(seg int) (sample.Instance, error) {
 	return func(seg int) (sample.Instance, error) {
 		r, err := fork()

@@ -174,7 +174,9 @@ func (s *Store) Stats() Stats {
 // concurrent callers. fn receives a context that stays live while at
 // least one Do caller is still waiting on this key and is cancelled when
 // the last of them gives up; ctx going away while others still wait
-// detaches this caller only.
+// detaches this caller only. A caller whose ctx is already done gets a
+// stored result as a Hit, and otherwise ctx's error with no outcome: it
+// neither joins nor starts a flight.
 //
 // With a tier attached, the flight checks the tier before calling fn; a
 // flight answered from the tier reports Disk to its creator (callers who
@@ -195,6 +197,10 @@ func (s *Store) DoStaged(ctx context.Context, key string, fn func(context.Contex
 		s.mu.Unlock()
 		mHits.Inc()
 		return res, Hit, nil
+	}
+	if err := ctx.Err(); err != nil {
+		s.mu.Unlock()
+		return sim.Result{}, "", err
 	}
 	outcome := Joined
 	f, ok := s.inflight[key]

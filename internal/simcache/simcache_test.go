@@ -120,6 +120,40 @@ func TestLastWaiterCancelsRun(t *testing.T) {
 	}
 }
 
+// TestDoRefusesDoneContext: a caller whose context is already done
+// starts no flight — neither the tier nor fn is consulted and no counter
+// moves — while a stored result still answers it.
+func TestDoRefusesDoneContext(t *testing.T) {
+	s := New()
+	tier := newFakeTier()
+	s.SetTier(tier)
+	var calls atomic.Int64
+	fn := func(context.Context) (sim.Result, error) {
+		calls.Add(1)
+		return sim.Result{Bench: "x", TotalRefs: 10}, nil
+	}
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	if _, _, err := s.Do(done, "k", fn); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Do err = %v, want canceled", err)
+	}
+	if st := s.Stats(); st.Misses != 0 || st.Joined != 0 || st.Inflight != 0 {
+		t.Fatalf("a done caller touched the flight table: %+v", st)
+	}
+	if calls.Load() != 0 || tier.gets.Load() != 0 {
+		t.Fatalf("a done caller ran fn %d times and probed the tier %d times", calls.Load(), tier.gets.Load())
+	}
+
+	if _, out, err := s.Do(context.Background(), "k", fn); err != nil || out != Miss {
+		t.Fatalf("live Do: outcome=%v err=%v", out, err)
+	}
+	res, out, err := s.Do(done, "k", fn)
+	if err != nil || out != Hit || res.Bench != "x" {
+		t.Fatalf("done Do on a stored key: res=%+v outcome=%v err=%v", res, out, err)
+	}
+}
+
 func TestSurvivingWaiterKeepsRunAlive(t *testing.T) {
 	s := New()
 	release := make(chan struct{})
