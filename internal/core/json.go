@@ -9,10 +9,11 @@ import (
 )
 
 // Metrics keeps the decay-predictor tallies in an unexported slice, so
-// plain encoding/json would drop them and a persisted result would panic
-// in DecayAccuracy after reload. The wire form below carries every field
-// explicitly; the disk result tier (internal/store) depends on this
-// round-tripping losslessly.
+// plain encoding/json would drop them and a decoded result would panic
+// in DecayAccuracy. The wire form below carries every field explicitly;
+// sim.Result's JSON, the API and golden-corpus form, depends on it
+// round-tripping losslessly. The disk result tier (internal/store) keeps
+// the binary form in binary.go instead.
 
 // decayTallyJSON is decayTally's wire form.
 type decayTallyJSON struct {

@@ -7,11 +7,12 @@ import (
 
 // The histogram types carry their sample counts in unexported fields, so
 // plain encoding/json would serialise only the shape and silently drop the
-// data. The disk result tier (internal/store) persists sim.Result — which
-// reaches these types through core.Metrics — so each histogram defines an
-// explicit wire form that round-trips every field and validates shape
-// invariants on decode. Entries that fail validation are rejected (and
-// quarantined by the store) rather than served with empty counts.
+// data. sim.Result reaches these types through core.Metrics, and its JSON
+// is the API and golden-corpus form, so each histogram defines an explicit
+// wire form that round-trips every field and validates shape invariants on
+// decode: a corrupt histogram is rejected rather than read with empty
+// counts. The disk result tier (internal/store) keeps the binary form in
+// binary.go instead.
 
 // histJSON is Hist's wire form.
 type histJSON struct {

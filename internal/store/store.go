@@ -3,6 +3,9 @@
 // canonical-JSON entry keyed by the simcache SHA-256 key, so a restarted
 // process (or a sibling CLI pointed at the same directory) answers
 // previously computed configurations from disk instead of re-simulating.
+// The entry's payload is the result's JSON except for its tracker, which
+// is held in core.Metrics' compact binary form: decoding the tracker's
+// histograms as JSON was most of the cost of a disk hit.
 //
 // Durability and integrity rules, in order of importance:
 //
@@ -12,9 +15,11 @@
 //   - Every entry carries a schema version and a SHA-256 checksum of its
 //     payload. An entry that fails any load-time check — unreadable
 //     envelope, schema mismatch, key mismatch, checksum mismatch, payload
-//     that does not decode as a sim.Result or violates its basic
-//     invariants — is quarantined (moved aside, never served, counted in
-//     store_quarantined_total) and the key recomputes cleanly.
+//     that does not decode strictly as a sim.Result (unknown fields,
+//     trailing data, a tracker whose binary form does not decode exactly)
+//     or violates its basic invariants — is quarantined (moved aside,
+//     never served, counted in store_quarantined_total) and the key
+//     recomputes cleanly.
 //   - One writer per directory: Open takes an exclusive flock on a LOCK
 //     file and fails fast when another process holds the store.
 //
@@ -26,6 +31,7 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -40,14 +46,17 @@ import (
 	"sync"
 	"time"
 
+	"timekeeping/internal/core"
 	"timekeeping/internal/obs"
 	"timekeeping/internal/sim"
 )
 
 // SchemaVersion is the entry envelope version. Bump it whenever the
-// envelope layout or the sim.Result JSON schema changes incompatibly;
-// entries written under any other version are quarantined on load.
-const SchemaVersion = 1
+// envelope layout, the payload layout, the sim.Result JSON schema or the
+// core.Metrics binary form changes incompatibly; entries written under
+// any other version are quarantined on load. Version 2 holds the tracker
+// in its binary form; version 1 held it as JSON.
+const SchemaVersion = 2
 
 const (
 	objectsDir    = "objects"
@@ -69,7 +78,8 @@ var (
 )
 
 // envelope is the on-disk entry format: a versioned wrapper whose payload
-// is the canonical JSON of one sim.Result.
+// holds one sim.Result (see payload). Put writes the payload as the last
+// field, and reads rely on it (see splitEnvelope).
 type envelope struct {
 	Schema int    `json:"schema"`
 	Key    string `json:"key"`
@@ -292,7 +302,7 @@ func (s *Store) put(key string, res sim.Result) error {
 	if !validKey(key) {
 		return fmt.Errorf("store: invalid key %q", key)
 	}
-	payload, err := json.Marshal(res)
+	payload, err := encodePayload(res)
 	if err != nil {
 		return fmt.Errorf("store: encoding result: %w", err)
 	}
@@ -426,8 +436,8 @@ func validKey(key string) bool {
 // decodeEntry validates one on-disk entry end to end and returns its
 // payload. Every failure mode maps to quarantine in the caller.
 func decodeEntry(key string, blob []byte) (sim.Result, error) {
-	var env envelope
-	if err := json.Unmarshal(blob, &env); err != nil {
+	env, err := splitEnvelope(blob)
+	if err != nil {
 		return sim.Result{}, fmt.Errorf("corrupt envelope: %v", err)
 	}
 	if env.Schema != SchemaVersion {
@@ -440,16 +450,128 @@ func decodeEntry(key string, blob []byte) (sim.Result, error) {
 	if hex.EncodeToString(sum[:]) != env.Checksum {
 		return sim.Result{}, errors.New("payload checksum mismatch")
 	}
-	dec := json.NewDecoder(bytes.NewReader(env.Payload))
-	dec.DisallowUnknownFields()
-	var res sim.Result
-	if err := dec.Decode(&res); err != nil {
+	res, err := decodePayload(env.Payload)
+	if err != nil {
 		return sim.Result{}, fmt.Errorf("stale or invalid payload schema: %v", err)
 	}
 	if err := validateResult(&res); err != nil {
 		return sim.Result{}, err
 	}
 	return res, nil
+}
+
+// payloadField introduces the payload, the last field of the envelope
+// that Put writes.
+var payloadField = []byte(`,"payload":`)
+
+// splitEnvelope decodes an entry's envelope. The payload is nearly all of
+// an entry, so rather than scan it twice as part of the envelope, this
+// cuts the entry at payloadField: the JSON before it, closed with a brace,
+// is decoded as the envelope's other fields, and the bytes after it up to
+// the entry's closing brace are the payload, which decodePayload checks is
+// exactly one JSON value. An envelope laid out any other way than Put
+// writes it is refused.
+func splitEnvelope(blob []byte) (envelope, error) {
+	var env envelope
+	i := bytes.Index(blob, payloadField)
+	if i < 0 || blob[len(blob)-1] != '}' {
+		return env, errors.New("no payload as the last field")
+	}
+	if err := json.Unmarshal(append(blob[:i:i], '}'), &env); err != nil {
+		return env, err
+	}
+	env.Payload = blob[i+len(payloadField) : len(blob)-1]
+	return env, nil
+}
+
+// payload is an entry's payload: one sim.Result whose Tracker field holds
+// the base64 of core.Metrics' binary form. The field shadows
+// Result.Tracker, so encoding/json promotes every other Result field
+// unchanged.
+type payload struct {
+	sim.Result
+	Tracker []byte
+}
+
+// encodePayload returns res's payload bytes.
+func encodePayload(res sim.Result) ([]byte, error) {
+	p := payload{Result: res}
+	if res.Tracker != nil {
+		tracker, err := res.Tracker.MarshalBinary()
+		if err != nil {
+			return nil, err
+		}
+		p.Tracker = tracker
+	}
+	return json.Marshal(p)
+}
+
+// decodePayload decodes payload bytes strictly: unknown fields, trailing
+// data, a tracker whose binary form does not decode exactly, and a second
+// tracker field after the one lifted out are all errors.
+func decodePayload(data []byte) (sim.Result, error) {
+	tracker, data, err := liftTracker(data)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var p payload
+	if err := dec.Decode(&p); err != nil {
+		return sim.Result{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return sim.Result{}, errors.New("trailing data after the result")
+	}
+	if p.Tracker != nil {
+		return sim.Result{}, errors.New("a second Tracker field")
+	}
+	res := p.Result
+	if tracker != nil {
+		bin := make([]byte, base64.StdEncoding.DecodedLen(len(tracker)))
+		n, err := base64.StdEncoding.Decode(bin, tracker)
+		if err != nil {
+			return sim.Result{}, fmt.Errorf("tracker: %v", err)
+		}
+		res.Tracker = new(core.Metrics)
+		if err := res.Tracker.UnmarshalBinary(bin[:n]); err != nil {
+			return sim.Result{}, err
+		}
+	}
+	return res, nil
+}
+
+// trackerKey introduces the tracker's value in a payload.
+var trackerKey = []byte(`"Tracker":`)
+
+// liftTracker returns the payload's tracker string, nil when the tracker
+// is null or absent, and the payload with that string replaced by null.
+// The string is nearly all of a payload, and lifting it out keeps
+// encoding/json from scanning it. encoding/json writes a []byte as a
+// base64 string, which needs no quote or escape, so the string ends at
+// the next quote. Every byte that base64 decoding accepts may stand raw
+// in a JSON string except the line breaks it skips; those are refused
+// here.
+func liftTracker(data []byte) (tracker, rest []byte, err error) {
+	k := bytes.Index(data, trackerKey)
+	if k < 0 {
+		return nil, data, nil
+	}
+	i := k + len(trackerKey)
+	if i == len(data) || data[i] != '"' {
+		return nil, data, nil
+	}
+	n := bytes.IndexByte(data[i+1:], '"')
+	if n < 0 {
+		return nil, nil, errors.New("unterminated Tracker string")
+	}
+	tracker = data[i+1 : i+1+n]
+	if bytes.IndexByte(tracker, '\n') >= 0 || bytes.IndexByte(tracker, '\r') >= 0 {
+		return nil, nil, errors.New("line break in the Tracker string")
+	}
+	rest = make([]byte, 0, len(data)-n+2)
+	rest = append(append(append(rest, data[:i]...), "null"...), data[i+n+2:]...)
+	return tracker, rest, nil
 }
 
 // validateResult checks the invariants every golden-corpus result

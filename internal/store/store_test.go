@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -9,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -94,6 +96,10 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if got.Tracker.Live.Mean() != res.Tracker.Live.Mean() {
 		t.Fatal("tracker live-time mean drifted")
 	}
+	// Every field, down to each histogram bucket, survives the payload.
+	if !reflect.DeepEqual(got, res) {
+		t.Fatal("result differs after the disk round trip")
+	}
 
 	st := s.Stats()
 	if st.Entries != 1 || st.Writes != 1 || st.Hits != 1 || st.Misses != 1 {
@@ -174,6 +180,25 @@ func TestQuarantine(t *testing.T) {
 		sum := sha256.Sum256(payload)
 		return hex.EncodeToString(sum[:])
 	}
+	// editPayload rewrites the entry's payload with edit, laid out as Put
+	// writes it and checksummed, even where the payload is no longer valid
+	// JSON.
+	editPayload := func(t *testing.T, s *Store, edit func(p []byte) []byte) {
+		blob, err := os.ReadFile(s.objectPath(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env envelope
+		if err := json.Unmarshal(blob, &env); err != nil {
+			t.Fatal(err)
+		}
+		p := edit(append([]byte(nil), env.Payload...))
+		if bytes.Equal(p, env.Payload) {
+			t.Fatal("edit left the payload as it was")
+		}
+		corruptEntry(t, s, key, fmt.Appendf(nil, `{"schema":%d,"key":%q,"bench":%q,"checksum":%q,"payload":%s}`,
+			env.Schema, env.Key, env.Bench, resum(p), p))
+	}
 
 	cases := []struct {
 		name    string
@@ -216,12 +241,54 @@ func TestQuarantine(t *testing.T) {
 			rewriteEnvelope(t, s, key, func(env *envelope) {
 				broken := res
 				broken.TotalRefs = 0
-				p, err := json.Marshal(broken)
+				p, err := encodePayload(broken)
 				if err != nil {
 					t.Fatal(err)
 				}
 				env.Payload, env.Checksum = p, resum(p)
 			})
+		}},
+		{"tracker trailing bytes", func(t *testing.T, s *Store) {
+			rewriteEnvelope(t, s, key, func(env *envelope) {
+				var p payload
+				if err := json.Unmarshal(env.Payload, &p); err != nil {
+					t.Fatal(err)
+				}
+				p.Tracker = append(p.Tracker, 0)
+				b, err := json.Marshal(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				env.Payload, env.Checksum = b, resum(b)
+			})
+		}},
+		{"line break in tracker", func(t *testing.T, s *Store) {
+			// Base64 decoding skips line breaks, which a JSON string
+			// cannot hold raw.
+			editPayload(t, s, func(p []byte) []byte {
+				return bytes.Replace(p, []byte(`"Tracker":"`), []byte("\"Tracker\":\"\n"), 1)
+			})
+		}},
+		{"second tracker", func(t *testing.T, s *Store) {
+			// encoding/json matches field names without regard to case,
+			// and the last value wins.
+			editPayload(t, s, func(p []byte) []byte {
+				return append(p[:len(p)-1], `,"tracker":"AAAA"}`...)
+			})
+		}},
+		{"payload not last", func(t *testing.T, s *Store) {
+			blob, err := os.ReadFile(s.objectPath(key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var env envelope
+			if err := json.Unmarshal(blob, &env); err != nil {
+				t.Fatal(err)
+			}
+			// Valid JSON with a valid checksum, but with the payload
+			// first rather than last as Put writes it.
+			corruptEntry(t, s, key, fmt.Appendf(nil, `{"payload":%s,"schema":%d,"key":%q,"bench":%q,"checksum":%q}`,
+				env.Payload, env.Schema, env.Key, env.Bench, env.Checksum))
 		}},
 	}
 
@@ -382,6 +449,28 @@ func TestGetLatencyP99(t *testing.T) {
 	}
 	if p99 > 0.005 {
 		t.Fatalf("disk-tier hit p99 %.3fms exceeds the 5ms budget", p99*1e3)
+	}
+}
+
+// TestGetAllocs gates a disk hit's decode by a count that CPU contention
+// cannot move, where TestGetLatencyP99's tail is set by scheduler waits.
+// The schema 1 entry, whose tracker histograms went through nested JSON
+// decoders, took 227 heap allocations per Get.
+func TestGetAllocs(t *testing.T) {
+	res := testResult(t)
+	s := openStore(t, t.TempDir(), Options{})
+	key := testKey()
+	if err := s.Put(key, res); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, ok := s.Get(key); !ok {
+			t.Fatal("warm Get missed")
+		}
+	})
+	t.Logf("%.0f heap allocations per disk-tier Get", allocs)
+	if allocs >= 100 {
+		t.Errorf("a disk-tier Get made %.0f heap allocations, want < 100", allocs)
 	}
 }
 
