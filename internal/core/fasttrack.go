@@ -55,11 +55,16 @@ func NewFastTracker(frames int) *FastTracker {
 		m:    NewMetrics(),
 		gens: make([]fastGen, frames),
 	}
-	// Sized for a mid-size working set up front: the table is the hot
-	// path's main DRAM target and early doublings rehash every slot.
-	t.hist.init(1 << 14)
 	t.bindMetrics()
 	return t
+}
+
+// TakeTable gives t donor's block-history table, cleared, when it is
+// larger than t's own: a segmented run's fork takes over a finished
+// segment's table instead of growing its own from the first size. t must
+// not have observed an access, and donor must observe none again.
+func (t *FastTracker) TakeTable(donor *FastTracker) {
+	t.hist.take(&donor.hist)
 }
 
 // bindMetrics refreshes the by-kind histogram arrays from t.m.
@@ -183,10 +188,13 @@ func (t *FastTracker) endGeneration(g *fastGen, now uint64) {
 	// then relocated it (the slot no longer holds this block), in which
 	// case fall back to a fresh probe. The table stores each block at
 	// most once, so a slot holding a nonzero block is authoritative;
-	// block 0 lives out of band and always takes the probe.
-	bh := &t.hist.slots[g.hSlot]
-	if g.block == 0 || bh.block != g.block {
-		bh, _ = t.hist.get(g.block)
+	// block 0 lives out of band, and the table may have no slots yet.
+	bh := &t.hist.zero
+	if g.block != 0 {
+		bh = &t.hist.slots[g.hSlot]
+		if bh.block != g.block {
+			bh, _ = t.hist.get(g.block)
+		}
 	}
 	if !t.quiet {
 		qlt := liveTime &^ (LiveTimeResolution - 1)
@@ -244,7 +252,8 @@ func (s *bhSlot) prevLive() uint64 {
 // address to history slot. Deletion never happens (the reference
 // Tracker's map also only grows), so probing is plain linear scan. A
 // zero key marks an empty slot, so block 0 — a valid address — keeps its
-// history out of band in zero. The table doubles at 3/4 load.
+// history out of band in zero. The zero value has no slots; the first
+// insert gives it histInitial, and the table doubles at 3/4 load.
 type blockHistTable struct {
 	slots []bhSlot
 	mask  uint64
@@ -252,18 +261,20 @@ type blockHistTable struct {
 	zero  bhSlot
 }
 
-func (h *blockHistTable) init(capacity int) {
-	if capacity < 16 {
-		capacity = 16
+// histInitial is the table's first size in slots: a mid-size working
+// set, since the table is the hot path's main DRAM target and early
+// doublings rehash every slot.
+const histInitial = 1 << 14
+
+// take moves d's slots into h, cleared, when they outnumber h's own; d is
+// left with none. h must hold no block yet.
+func (h *blockHistTable) take(d *blockHistTable) {
+	if len(d.slots) <= len(h.slots) {
+		return
 	}
-	// Round up to a power of two.
-	c := 16
-	for c < capacity {
-		c <<= 1
-	}
-	h.slots = make([]bhSlot, c)
-	h.mask = uint64(c - 1)
-	h.n = 0
+	clear(d.slots)
+	*h = blockHistTable{slots: d.slots, mask: d.mask}
+	*d = blockHistTable{}
 }
 
 // hashBlock mixes a block address into a table index (Fibonacci hashing;
@@ -277,6 +288,9 @@ func hashBlock(block uint64) uint64 {
 // Observe probes it. Purely a read — no result depends on it — so a
 // stale touch (the table grew in between) is merely a wasted load.
 func (t *FastTracker) Touch(block uint64) uint64 {
+	if t.hist.slots == nil {
+		return 0
+	}
 	return t.hist.slots[hashBlock(block)&t.hist.mask].block
 }
 
@@ -314,7 +328,10 @@ func (h *blockHistTable) get(block uint64) (*bhSlot, uint32) {
 
 func (h *blockHistTable) grow() {
 	old := h.slots
-	h.init(len(old) * 2)
+	c := max(2*len(old), histInitial)
+	h.slots = make([]bhSlot, c)
+	h.mask = uint64(c - 1)
+	h.n = 0
 	for i := range old {
 		if old[i].block == 0 {
 			continue

@@ -51,3 +51,63 @@ func TestFastTrackerMatchesTracker(t *testing.T) {
 		t.Fatalf("metrics diverge:\nref:  %+v\nfast: %+v", ref.Metrics(), fast.Metrics())
 	}
 }
+
+// observeSweeps drives t with reps sweeps over blocks 0, 1, …, n-1 (64-byte
+// strides, block 0 at address 0) on a direct-mapped view of its frames,
+// one access every 3 cycles from cycle 3: an access hits when its frame
+// holds the block, and a miss is cold on the block's first sight in this
+// call and a capacity miss after.
+func observeSweeps(t *FastTracker, n, reps int) {
+	frames := len(t.gens)
+	resident := make([]uint64, frames)
+	valid := make([]bool, frames)
+	seen := make(map[uint64]bool)
+	now := uint64(0)
+	for r := 0; r < reps; r++ {
+		for i := 0; i < n; i++ {
+			now += 3
+			block, frame := uint64(i)*64, i%frames
+			if valid[frame] && resident[frame] == block {
+				t.Observe(frame, now, block, true, classify.Conflict, false)
+				continue
+			}
+			kind := classify.Capacity
+			if !seen[block] {
+				kind, seen[block] = classify.Cold, true
+			}
+			t.Observe(frame, now, block, false, kind, valid[frame])
+			resident[frame], valid[frame] = block, true
+		}
+	}
+}
+
+// TestFastTrackerTakeTableMatchesFresh: a tracker that takes over the
+// block-history table of a finished tracker, one that observed another
+// stream, touched block 0 and grew its table at least twice, observes a
+// stream that revisits those blocks, block 0 included, to the same metrics
+// as a tracker built fresh. Histories left in the table, or block 0's kept,
+// would time reloads and predict live times from the donor's generations.
+func TestFastTrackerTakeTableMatchesFresh(t *testing.T) {
+	const frames = 1024
+	donor := NewFastTracker(frames)
+	observeSweeps(donor, 30_000, 2)
+	slots := len(donor.hist.slots)
+	if slots < 4*histInitial || donor.hist.zero.live == liveNone {
+		t.Fatalf("donor's table has %d slots (block 0's live %d), want at least %d and a closed block-0 generation",
+			slots, donor.hist.zero.live, 4*histInitial)
+	}
+
+	taker, fresh := NewFastTracker(frames), NewFastTracker(frames)
+	taker.TakeTable(donor)
+	if got := len(taker.hist.slots); got != slots {
+		t.Fatalf("taker's table has %d slots, want the donor's %d", got, slots)
+	}
+	if donor.hist.slots != nil {
+		t.Fatal("donor kept its table after handing it over")
+	}
+	observeSweeps(taker, 4_000, 3)
+	observeSweeps(fresh, 4_000, 3)
+	if !reflect.DeepEqual(taker.Metrics(), fresh.Metrics()) {
+		t.Fatalf("metrics diverge from a fresh tracker's:\ntaker: %+v\nfresh: %+v", taker.Metrics(), fresh.Metrics())
+	}
+}

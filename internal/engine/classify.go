@@ -63,7 +63,6 @@ func newSoaClassifier(blocks int) *soaClassifier {
 	for i := range c.mEnt {
 		c.mEnt[i].node = nilNode
 	}
-	c.seen.init(1 << 14)
 	return c
 }
 
@@ -205,12 +204,35 @@ func hashBlock(block uint64) uint64 {
 
 // seenSet is an insert-only open-addressed set of block addresses. A
 // zero key marks an empty slot so a probe touches one array; block 0
-// (a valid member) is tracked out of band.
+// (a valid member) is tracked out of band. The zero value has no table:
+// the engine gives it one (ensure) before its first probe, unless it has
+// taken a finished machine's (take).
 type seenSet struct {
 	keys []uint64 // 0 = empty slot
 	has0 bool
 	mask uint64
 	n    int
+}
+
+// seenInitial is the seen set's first size in slots.
+const seenInitial = 1 << 14
+
+// ensure gives the set its first table if it has none.
+func (s *seenSet) ensure() {
+	if s.keys == nil {
+		s.init(seenInitial)
+	}
+}
+
+// take moves d's table into s, cleared, when it has more slots than s's
+// own; d is left with none. s must hold no member yet.
+func (s *seenSet) take(d *seenSet) {
+	if len(d.keys) <= len(s.keys) {
+		return
+	}
+	clear(d.keys)
+	*s = seenSet{keys: d.keys, mask: d.mask}
+	*d = seenSet{}
 }
 
 func (s *seenSet) init(capacity int) {

@@ -284,6 +284,14 @@ func (e *Engine) AttachNextLine(p *prefetch.NextLine) {
 	e.needEvent = true
 }
 
+// TakeSeenSet gives e the classifier's seen set of donor, cleared, when it
+// is larger than e's own: a segmented run's fork takes over a finished
+// segment's set instead of growing its own from the first size. e must
+// not have stepped a reference, and donor must step none again.
+func (e *Engine) TakeSeenSet(donor *Engine) {
+	e.classifier.seen.take(&donor.classifier.seen)
+}
+
 // SetProgress attaches a live progress handle (nil detaches).
 func (e *Engine) SetProgress(p *obs.Progress) { e.prog = p }
 
@@ -391,6 +399,9 @@ func (e *Engine) RunFunctional(ctx context.Context, s trace.Stream, maxRefs uint
 // steps references through the detailed model, otherwise through
 // functional warming at that many subcycles per instruction.
 func (e *Engine) run(ctx context.Context, s trace.Stream, maxRefs, subPerInst uint64) (cpu.Result, error) {
+	// The seen set gets its table at the first step, so an engine that
+	// takes over a finished one's (TakeSeenSet) never allocates its own.
+	e.classifier.seen.ensure()
 	var done, reported uint64
 	defer func() {
 		e.prog.Add(done - reported)

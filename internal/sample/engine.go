@@ -76,6 +76,9 @@ func (r Reference) ResetStats() { r.Hier.ResetStats() }
 
 // Config hands the engine an assembled simulation.
 type Config struct {
+	// Machine is the one machine the classic and phase schedules step;
+	// Run returns an error when they get none. The segmented schedule
+	// does not use it: each segment steps its own NewInstance machine.
 	Machine Machine
 	// Stream is the run's reference stream. The phase schedule profiles a
 	// copy of it and the segmented schedule forks every segment off it
@@ -109,7 +112,9 @@ type Config struct {
 
 	// NewInstance assembles the isolated simulation instance segment seg
 	// executes on — typically a freshly built machine with fresh
-	// mechanism attachments. Required when Policy.SegmentWindows > 0; it
+	// mechanism attachments, which may take over the growable tables of
+	// a segment that has finished (see Instance.Finish), cleared, so no
+	// state crosses segments. Required when Policy.SegmentWindows > 0; it
 	// is called at most once per segment and may be called concurrently
 	// from worker goroutines.
 	NewInstance func(seg int) (Instance, error)
@@ -129,7 +134,9 @@ type Instance struct {
 	Warmables []Warmable
 	// Finish, when non-nil, is called once the segment is done with the
 	// instance — after its last window or on error — so the caller can
-	// keep the segment's outputs and let the rest of the instance go.
+	// keep the segment's outputs and hand the instance's tables to a
+	// later segment's NewInstance; the schedule steps the instance no
+	// more.
 	Finish func()
 }
 
@@ -166,6 +173,9 @@ func Run(ctx context.Context, cfg Config) (Outcome, error) {
 	}
 	if pol.SegmentWindows > 0 {
 		return runSegmented(ctx, cfg, pol, maxW)
+	}
+	if cfg.Machine == nil {
+		return Outcome{}, fmt.Errorf("sample: the classic and phase schedules need Config.Machine")
 	}
 	var out Outcome
 	if pol.Schedule == SchedulePhase {

@@ -169,3 +169,31 @@ func TestSampleEngineMaxWindowsCap(t *testing.T) {
 		t.Fatalf("windows = %d, want 5", out.Estimate.Windows)
 	}
 }
+
+// TestSampleEngineNilMachine: the classic and phase schedules step
+// Config.Machine, so without one Run returns an error instead of
+// panicking; the segmented schedule steps only its instances' machines.
+func TestSampleEngineNilMachine(t *testing.T) {
+	for name, tune := range map[string]func(*Policy){
+		"fixed":  func(*Policy) {},
+		"target": func(p *Policy) { p.TargetRelCI = 0.5 },
+		"phase":  func(p *Policy) { p.Schedule = SchedulePhase },
+	} {
+		cfg := testRig(&strideStream{blocks: 4096})
+		cfg.Machine = nil
+		tune(&cfg.Policy)
+		if _, err := Run(context.Background(), cfg); err == nil {
+			t.Errorf("%s: run with no Machine accepted", name)
+		}
+	}
+	cfg := testRig(&strideStream{blocks: 4096})
+	h := hier.New(hier.DefaultConfig())
+	cfg.Machine = nil
+	cfg.Policy.SegmentWindows = 16
+	cfg.NewInstance = func(int) (Instance, error) {
+		return Instance{Machine: Reference{CPU: cpu.New(cpu.DefaultConfig(), h), Hier: h}}, nil
+	}
+	if out, err := Run(context.Background(), cfg); err != nil || out.Estimate.Windows != 16 {
+		t.Fatalf("segmented run with no Machine: %d windows, err %v; want 16 and nil", out.Estimate.Windows, err)
+	}
+}

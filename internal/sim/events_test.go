@@ -195,6 +195,31 @@ func TestEventsSampledRun(t *testing.T) {
 	}
 }
 
+// TestEventsSegmentedRunBindsSink: a segmented run, on either loop,
+// records no events and no spans (each segment steps its own machine on
+// its own clock) and builds no machine of its own, but it still binds the
+// sink to the L1 geometry as building one did, so an event emitted on
+// the sink afterwards is stamped with its set.
+func TestEventsSegmentedRunBindsSink(t *testing.T) {
+	for name, run := range map[string]func(context.Context, Spec) (Result, error){"engine": Run, "reference": RunReference} {
+		sink := events.NewSink(events.Config{Cap: 1 << 10}, nil)
+		opt := Default()
+		opt.WarmupRefs, opt.MeasureRefs = 5_000, 60_000
+		opt.Sampling = &sample.Policy{DetailedRefs: 1024, WarmRefs: 8192, DetailedWarmRefs: 256, SegmentWindows: 2, Parallelism: 2}
+		opt.Events = sink
+		if _, err := run(context.Background(), Spec{Workload: workload.MustProfile("eon"), Opts: opt}); err != nil {
+			t.Fatal(err)
+		}
+		if n, spans := sink.Len(), len(sink.Trace().Spans()); n != 0 || spans != 0 {
+			t.Fatalf("%s: segmented run captured %d events and %d spans, want none", name, n, spans)
+		}
+		sink.Emit(events.Event{Kind: events.Fill, Frame: int32(5 * opt.Hier.L1.Ways)})
+		if evs := sink.Events(); len(evs) != 1 || evs[0].Set != 5 {
+			t.Fatalf("%s: event on set 5's first frame captured as %+v; the sink is not bound", name, evs)
+		}
+	}
+}
+
 // TestEngineEventsMatchReference is the event differential test: the
 // engine must emit the reference loop's generation events at the same
 // points and in the same order, so a capture is the same whichever
