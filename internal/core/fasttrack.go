@@ -2,6 +2,7 @@ package core
 
 import (
 	"timekeeping/internal/classify"
+	"timekeeping/internal/hashtab"
 	"timekeeping/internal/stats"
 )
 
@@ -25,7 +26,11 @@ type FastTracker struct {
 	// Per-frame generation state (frameGen, inline).
 	gens []fastGen
 
-	hist blockHistTable
+	// hist maps block address to history: an insert-only table, like the
+	// reference Tracker's map, whose slots are allocated on the first
+	// miss, so a tracker that takes over a finished one's (TakeTable)
+	// allocates none.
+	hist hashtab.Table[bhSlot]
 
 	// By-kind histograms lifted out of Metrics' maps: Observe indexes by
 	// MissKind instead of hashing it, and a nil entry stands for a kind the
@@ -54,6 +59,7 @@ func NewFastTracker(frames int) *FastTracker {
 	t := &FastTracker{
 		m:    NewMetrics(),
 		gens: make([]fastGen, frames),
+		hist: hashtab.New[bhSlot](histInitial),
 	}
 	t.bindMetrics()
 	return t
@@ -64,7 +70,7 @@ func NewFastTracker(frames int) *FastTracker {
 // segment's table instead of growing its own from the first size. t must
 // not have observed an access, and donor must observe none again.
 func (t *FastTracker) TakeTable(donor *FastTracker) {
-	t.hist.take(&donor.hist)
+	t.hist.Take(&donor.hist)
 }
 
 // bindMetrics refreshes the by-kind histogram arrays from t.m.
@@ -124,7 +130,7 @@ func (t *FastTracker) Observe(frame int, now, block uint64, hit bool, missKind c
 		t.endGeneration(g, now)
 	}
 
-	bh, hi := t.hist.get(block)
+	bh, hi, _ := t.hist.Put(block)
 	if !t.quiet {
 		if bh.lastStart > 0 && now > bh.lastStart {
 			reload := now - bh.lastStart
@@ -186,15 +192,10 @@ func (t *FastTracker) endGeneration(g *fastGen, now uint64) {
 
 	// The block's slot was cached at install time; a table grow since
 	// then relocated it (the slot no longer holds this block), in which
-	// case fall back to a fresh probe. The table stores each block at
-	// most once, so a slot holding a nonzero block is authoritative;
-	// block 0 lives out of band, and the table may have no slots yet.
-	bh := &t.hist.zero
-	if g.block != 0 {
-		bh = &t.hist.slots[g.hSlot]
-		if bh.block != g.block {
-			bh, _ = t.hist.get(g.block)
-		}
+	// case fall back to a fresh probe.
+	bh := t.hist.At(g.hSlot, g.block)
+	if bh == nil {
+		bh, _, _ = t.hist.Put(g.block)
 	}
 	if !t.quiet {
 		qlt := liveTime &^ (LiveTimeResolution - 1)
@@ -226,10 +227,9 @@ const (
 )
 
 // bhSlot is one block's history, stored inline in the table so a probe
-// and the subsequent field accesses share a cache line: four words, two
-// slots per 64-byte line.
+// and the subsequent field accesses share a cache line: three words, and
+// the table's key makes four, two slots per 64-byte line.
 type bhSlot struct {
-	block     uint64 // 0 marks an empty slot
 	lastStart uint64
 	// live folds the reference Tracker's hasGen, hasLive and prevZero
 	// flags into the previous live time (see liveNone..liveBias): the two
@@ -248,99 +248,18 @@ func (s *bhSlot) prevLive() uint64 {
 	return s.live - liveBias
 }
 
-// blockHistTable is an insert-only open-addressed hash table from block
-// address to history slot. Deletion never happens (the reference
-// Tracker's map also only grows), so probing is plain linear scan. A
-// zero key marks an empty slot, so block 0 — a valid address — keeps its
-// history out of band in zero. The zero value has no slots; the first
-// insert gives it histInitial, and the table doubles at 3/4 load.
-type blockHistTable struct {
-	slots []bhSlot
-	mask  uint64
-	n     int
-	zero  bhSlot
-}
-
 // histInitial is the table's first size in slots: a mid-size working
 // set, since the table is the hot path's main DRAM target and early
 // doublings rehash every slot.
 const histInitial = 1 << 14
 
-// take moves d's slots into h, cleared, when they outnumber h's own; d is
-// left with none. h must hold no block yet.
-func (h *blockHistTable) take(d *blockHistTable) {
-	if len(d.slots) <= len(h.slots) {
-		return
-	}
-	clear(d.slots)
-	*h = blockHistTable{slots: d.slots, mask: d.mask}
-	*d = blockHistTable{}
-}
-
-// hashBlock mixes a block address into a table index (Fibonacci hashing;
-// block addresses are block-aligned so low bits are constant zero).
-func hashBlock(block uint64) uint64 {
-	x := block * 0x9e3779b97f4a7c15
-	return x ^ x>>32
-}
-
 // Touch reads the block's home slot so the cache line is warm before
 // Observe probes it. Purely a read — no result depends on it — so a
 // stale touch (the table grew in between) is merely a wasted load.
 func (t *FastTracker) Touch(block uint64) uint64 {
-	if t.hist.slots == nil {
-		return 0
-	}
-	return t.hist.slots[hashBlock(block)&t.hist.mask].block
+	return t.hist.Touch(hashtab.Hash(block))
 }
 
 // HistFootprint returns the block-history table's size in bytes, used by
 // the engine to decide whether prefetch-touching its lines is worthwhile.
-func (t *FastTracker) HistFootprint() int {
-	const slotBytes = 32 // bhSlot: four uint64
-	return len(t.hist.slots) * slotBytes
-}
-
-// get returns the slot for block and its index, inserting a zeroed slot
-// if absent. The pointer and index are valid until the next get (which
-// may grow the table).
-func (h *blockHistTable) get(block uint64) (*bhSlot, uint32) {
-	if block == 0 {
-		return &h.zero, 0
-	}
-	if h.n >= len(h.slots)-len(h.slots)/4 {
-		h.grow()
-	}
-	i := hashBlock(block) & h.mask
-	for {
-		s := &h.slots[i]
-		if s.block == 0 {
-			s.block = block
-			h.n++
-			return s, uint32(i)
-		}
-		if s.block == block {
-			return s, uint32(i)
-		}
-		i = (i + 1) & h.mask
-	}
-}
-
-func (h *blockHistTable) grow() {
-	old := h.slots
-	c := max(2*len(old), histInitial)
-	h.slots = make([]bhSlot, c)
-	h.mask = uint64(c - 1)
-	h.n = 0
-	for i := range old {
-		if old[i].block == 0 {
-			continue
-		}
-		j := hashBlock(old[i].block) & h.mask
-		for h.slots[j].block != 0 {
-			j = (j + 1) & h.mask
-		}
-		h.slots[j] = old[i]
-		h.n++
-	}
-}
+func (t *FastTracker) HistFootprint() int { return t.hist.Bytes() }

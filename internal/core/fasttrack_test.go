@@ -91,18 +91,21 @@ func TestFastTrackerTakeTableMatchesFresh(t *testing.T) {
 	const frames = 1024
 	donor := NewFastTracker(frames)
 	observeSweeps(donor, 30_000, 2)
-	slots := len(donor.hist.slots)
-	if slots < 4*histInitial || donor.hist.zero.live == liveNone {
-		t.Fatalf("donor's table has %d slots (block 0's live %d), want at least %d and a closed block-0 generation",
-			slots, donor.hist.zero.live, 4*histInitial)
+	slots := donor.hist.Slots()
+	if zero := donor.hist.At(0, 0); slots < 4*histInitial || zero == nil || zero.live == liveNone {
+		t.Fatalf("donor's table has %d slots (block 0's history %+v), want at least %d and a closed block-0 generation",
+			slots, zero, 4*histInitial)
 	}
 
 	taker, fresh := NewFastTracker(frames), NewFastTracker(frames)
 	taker.TakeTable(donor)
-	if got := len(taker.hist.slots); got != slots {
+	if got := taker.hist.Slots(); got != slots {
 		t.Fatalf("taker's table has %d slots, want the donor's %d", got, slots)
 	}
-	if donor.hist.slots != nil {
+	if got := taker.HistFootprint(); got != 32*slots {
+		t.Fatalf("taker's table takes %d bytes, want 32 per slot, two per cache line", got)
+	}
+	if donor.hist.Slots() != 0 {
 		t.Fatal("donor kept its table after handing it over")
 	}
 	observeSweeps(taker, 4_000, 3)

@@ -40,18 +40,19 @@ func TestTakeSeenSetMatchesFresh(t *testing.T) {
 
 	donor := New(cfg)
 	run(donor, blockRefs(30_000, 1))
-	seen := donor.classifier.seen
-	if len(seen.keys) < 4*seenInitial || !seen.has0 {
-		t.Fatalf("donor's seen set has %d slots (has0 %v), want at least %d and block 0",
-			len(seen.keys), seen.has0, 4*seenInitial)
+	seen := &donor.classifier.seen
+	slots, has0 := seen.Slots(), seen.At(0, 0) != nil
+	if slots < 4*seenInitial || !has0 {
+		t.Fatalf("donor's seen set has %d slots (block 0 %v), want at least %d and block 0",
+			slots, has0, 4*seenInitial)
 	}
 
 	taker, fresh := New(cfg), New(cfg)
 	taker.TakeSeenSet(donor)
-	if got := len(taker.classifier.seen.keys); got != len(seen.keys) {
-		t.Fatalf("taker's seen set has %d slots, want the donor's %d", got, len(seen.keys))
+	if got := taker.classifier.seen.Slots(); got != slots {
+		t.Fatalf("taker's seen set has %d slots, want the donor's %d", got, slots)
 	}
-	if donor.classifier.seen.keys != nil {
+	if seen.Slots() != 0 {
 		t.Fatal("donor kept its seen set after handing it over")
 	}
 	trackers := make([]*core.FastTracker, 2)

@@ -34,6 +34,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"timekeeping/internal/hashtab"
 	"timekeeping/internal/trace"
 )
 
@@ -118,11 +119,12 @@ func Signatures(ctx context.Context, s trace.Stream, skip, ivRefs uint64, n int,
 	}
 
 	sigs := make([][]float64, 0, n)
-	var counts regionCounter
-	counts.init(1024)
+	// counts holds one interval's references per region. Its capacity and
+	// probe order decide nothing: regions are sorted before projection.
+	counts := hashtab.New[uint64](1024)
 	var scratch []regionCount
 	for iv := 0; iv < n; iv++ {
-		counts.reset()
+		counts.Reset()
 		var got uint64
 		for got < ivRefs {
 			if err := check(); err != nil {
@@ -131,14 +133,15 @@ func Signatures(ctx context.Context, s trace.Stream, skip, ivRefs uint64, n int,
 			if !s.Next(&r) {
 				break
 			}
-			counts.add(r.Addr >> shift)
+			c, _, _ := counts.Put(r.Addr >> shift)
+			*c++
 			got++
 			consumed++
 		}
 		if got == 0 {
 			break
 		}
-		scratch = counts.sorted(scratch[:0])
+		scratch = sortedCounts(&counts, scratch[:0])
 		sigs = append(sigs, project(scratch, got, cfg))
 		if got < ivRefs {
 			break
@@ -175,96 +178,12 @@ type regionCount struct {
 	reg, n uint64
 }
 
-// regionCounter counts one interval's references per region in an
-// open-addressed table with inline keys, the engine's seen-set idiom: a
-// zero key marks an empty slot, so region 0, a real region, is counted
-// out of band.
-type regionCounter struct {
-	slots []regionCount // reg 0 = empty slot
-	zero  uint64        // references to region 0
-	mask  uint64
-	used  int
-}
-
-func (c *regionCounter) init(capacity int) {
-	size := 16
-	for size < capacity {
-		size <<= 1
-	}
-	c.slots = make([]regionCount, size)
-	c.mask = uint64(size - 1)
-	c.used = 0
-}
-
-// reset empties the table for the next interval. A table holds at most
-// one slot per reference of the largest interval so far, so clearing it
-// costs no more than the walk that filled it.
-func (c *regionCounter) reset() {
-	if c.used > 0 {
-		clear(c.slots)
-		c.used = 0
-	}
-	c.zero = 0
-}
-
-func (c *regionCounter) add(reg uint64) {
-	if reg == 0 {
-		c.zero++
-		return
-	}
-	if c.used >= len(c.slots)-len(c.slots)/4 {
-		c.grow()
-	}
-	i := hashRegion(reg) & c.mask
-	for {
-		s := &c.slots[i]
-		if s.reg == reg {
-			s.n++
-			return
-		}
-		if s.reg == 0 {
-			*s = regionCount{reg: reg, n: 1}
-			c.used++
-			return
-		}
-		i = (i + 1) & c.mask
-	}
-}
-
-func (c *regionCounter) grow() {
-	old := c.slots
-	c.init(len(old) * 2)
-	for _, s := range old {
-		if s.reg == 0 {
-			continue
-		}
-		j := hashRegion(s.reg) & c.mask
-		for c.slots[j].reg != 0 {
-			j = (j + 1) & c.mask
-		}
-		c.slots[j] = s
-		c.used++
-	}
-}
-
-// sorted appends every counted region to out in ascending region order.
-func (c *regionCounter) sorted(out []regionCount) []regionCount {
-	if c.zero > 0 {
-		out = append(out, regionCount{reg: 0, n: c.zero})
-	}
-	for _, s := range c.slots {
-		if s.reg != 0 {
-			out = append(out, s)
-		}
-	}
+// sortedCounts appends every region counted in c to out in ascending
+// region order.
+func sortedCounts(c *hashtab.Table[uint64], out []regionCount) []regionCount {
+	c.Range(func(reg uint64, n *uint64) { out = append(out, regionCount{reg: reg, n: *n}) })
 	slices.SortFunc(out, func(a, b regionCount) int { return cmp.Compare(a.reg, b.reg) })
 	return out
-}
-
-// hashRegion mixes a region number into a table index.
-func hashRegion(reg uint64) uint64 {
-	x := reg * 0x9e3779b97f4a7c15
-	return x ^ x>>32
 }
 
 // mix64 is the splitmix64 finalizer: a fast, well-distributed 64-bit

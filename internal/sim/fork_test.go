@@ -170,11 +170,20 @@ func TestSegmentForksGenerateOnePass(t *testing.T) {
 // segments returns soon after its deadline. The fork walk stops at the
 // deadline and dispatches nothing more, and the segments in flight stop
 // at their next batch. At 4096 segments the walk alone takes seconds, so
-// it must check the context itself.
+// it must check the context itself. Each case must run uncancelled for
+// many times its deadline, or a fast machine finishes it first: the 256
+// segments each re-warm 2M references (30 s on a 2-vCPU Xeon at 2
+// workers, where the default 150K took 3 s), and the 4096 segments at
+// the default warm-up take 45 s.
 func TestSampledParallelCancelPrompt(t *testing.T) {
-	for _, segments := range []int{256, 4096} {
+	for _, tc := range []struct {
+		segments int
+		warmup   uint64
+	}{{256, 2_000_000}, {4096, sim.Default().WarmupRefs}} {
+		segments := tc.segments
 		opt := sim.Default()
 		opt.Track = true
+		opt.WarmupRefs = tc.warmup
 		pol := sample.DefaultPolicy()
 		pol.SegmentWindows, pol.Parallelism, pol.MaxWindows = 1, 2, segments
 		opt.Sampling = pol
