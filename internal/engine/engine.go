@@ -14,6 +14,11 @@
 //   - references are processed in fixed-size batches (batchRefs) so the
 //     context-check/progress cadence and the observability-counter
 //     flushes are amortised over thousands of references;
+//   - a call of at least supplyMinRefs references has them generated on a
+//     second goroutine, which reads exactly that call's references from
+//     the stream into a small ring of reused chunks (supply.go); the
+//     stepping loop, all machine state and both hooks stay on the
+//     caller's goroutine, so only where a sub-batch comes from changes;
 //   - the ROB window lookup replaces the reference's per-reference binary
 //     search with a monotone finger (retirement queries are strictly
 //     increasing, so the answer only ever moves forward);
@@ -191,11 +196,12 @@ type Engine struct {
 	audL2   hier.L2Op
 	audL2On bool
 
-	// Reference lookahead buffer: Run pulls a sub-batch from the stream
-	// and warms each reference's hash-table cache lines before stepping
-	// it, overlapping the tables' DRAM latency with earlier work. touchSink
-	// keeps the warming loads from being optimised away; no result ever
-	// reads it.
+	// Reference lookahead buffer: a call below supplyMinRefs reads each
+	// sub-batch from the stream into it (a longer one takes it from its
+	// supply's chunk), and Run warms each reference's hash-table cache
+	// lines before stepping it, overlapping the tables' DRAM latency with
+	// earlier work. touchSink keeps the warming loads from being optimised
+	// away; no result ever reads it.
 	lookahead [touchBatch]trace.Ref
 	touchSink uint64
 }
@@ -377,7 +383,12 @@ func (e *Engine) flushCounters() {
 
 // Run drives up to maxRefs references from the stream in batches,
 // mirroring cpu.Model.RunContext: cancellation and progress land on the
-// same reference counts, and the returned snapshot is cumulative.
+// same reference counts, and the returned snapshot is cumulative. A call
+// of at least supplyMinRefs references reads them on a second goroutine,
+// exactly maxRefs of them unless the stream ends first, and that
+// goroutine has stopped when Run returns. After a cancelled call the
+// stream may have been read past the snapshot's count, so a caller drops
+// the stream then.
 func (e *Engine) Run(ctx context.Context, s trace.Stream, maxRefs uint64) (cpu.Result, error) {
 	return e.run(ctx, s, maxRefs, 0)
 }
@@ -402,7 +413,11 @@ func (e *Engine) RunFunctional(ctx context.Context, s trace.Stream, maxRefs uint
 // functional warming at that many subcycles per instruction.
 func (e *Engine) run(ctx context.Context, s trace.Stream, maxRefs, subPerInst uint64) (cpu.Result, error) {
 	var done, reported uint64
+	sup := startSupply(s, maxRefs)
 	defer func() {
+		if sup != nil {
+			sup.stop()
+		}
 		e.prog.Add(done - reported)
 		e.flushCounters()
 		e.syncRefs()
@@ -420,27 +435,35 @@ func (e *Engine) run(ctx context.Context, s trace.Stream, maxRefs, subPerInst ui
 			batch = batchRefs
 		}
 		for got := uint64(0); got < batch; {
-			// Pull a sub-batch from the stream, warm every reference's
-			// table lines, then step them in order. The warming reads are
-			// correctness-neutral (see touchTables); they only overlap the
-			// hash tables' memory latency with useful work.
+			// Take a sub-batch from the supply, or read it from the stream
+			// here, warm every reference's table lines, then step them in
+			// order. The warming reads are correctness-neutral (see
+			// touchTables); they only overlap the hash tables' memory
+			// latency with useful work.
 			want := batch - got
 			if want > touchBatch {
 				want = touchBatch
 			}
-			n := 0
-			for uint64(n) < want && s.Next(&e.lookahead[n]) {
-				n++
+			var refs []trace.Ref
+			if sup != nil {
+				refs = sup.take(int(want))
+			} else {
+				n := 0
+				for uint64(n) < want && s.Next(&e.lookahead[n]) {
+					n++
+				}
+				refs = e.lookahead[:n]
 			}
+			n := len(refs)
 			if e.tablesSpill() {
 				sink := uint64(0)
 				for i := 0; i < n; i++ {
-					sink += e.touchTables(e.lookahead[i].Addr)
+					sink += e.touchTables(refs[i].Addr)
 				}
 				e.touchSink += sink
 			}
 			for i := 0; i < n; i++ {
-				r := &e.lookahead[i]
+				r := &refs[i]
 				if subPerInst == 0 {
 					e.step(r)
 				} else {

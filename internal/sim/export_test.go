@@ -1,6 +1,12 @@
 package sim
 
-import "context"
+import (
+	"context"
+
+	"timekeeping/internal/cpu"
+	"timekeeping/internal/sample"
+	"timekeeping/internal/trace"
+)
 
 // RunReference is Run on the reference loop (cpu.Model driving
 // hier.Hierarchy, with core.Tracker): the executable specification the
@@ -9,4 +15,10 @@ import "context"
 // events and spans but never audits.
 func RunReference(ctx context.Context, s Spec) (Result, error) {
 	return run(ctx, s, runReference)
+}
+
+// RunPhase is runPhase: one simulation window, with an oracle divergence
+// raised while stepping returned as its error.
+func RunPhase(ctx context.Context, m sample.Machine, stream trace.Stream, n uint64) (cpu.Result, error) {
+	return runPhase(ctx, m, stream, n)
 }

@@ -64,7 +64,10 @@ type Ref struct {
 
 // Stream is a source of references in program order. Next returns false
 // when the stream is exhausted; streams produced by workload generators
-// are typically infinite and never return false.
+// are typically infinite and never return false. The engine may call Next
+// from a goroutine other than its caller's, to generate a long run's
+// references beside the simulation, but never from two goroutines at
+// once, and every call has returned before the engine's Run does.
 type Stream interface {
 	Next(r *Ref) bool
 }
