@@ -38,8 +38,9 @@ type chunk struct {
 // supply generates one call's references on a producer goroutine. The
 // producer owns the stream and the chunks it is filling; the caller owns
 // the chunk it is stepping and everything else. free and full carry the
-// chunks between them, and quit and done carry one token each, so a
-// supply is reused whole, channels included.
+// chunks between them and each can hold every chunk, so no send on them
+// blocks. quit and done carry one token per call instead of being closed,
+// so a supply is reused whole, channels included.
 type supply struct {
 	chunks     [supplyChunks]chunk
 	free, full chan *chunk
@@ -75,14 +76,13 @@ func startSupply(s trace.Stream, n uint64) *supply {
 	for i := range p.chunks {
 		p.free <- &p.chunks[i]
 	}
-	p.panicked, p.cur, p.pos = nil, nil, 0
 	go p.produce(s, n)
 	return p
 }
 
 // produce fills free chunks from s and hands them to the caller in stream
 // order, until it has read n references, s ends, Next panics or the
-// caller quits. full holds every chunk, so handing one over never blocks.
+// caller quits.
 func (p *supply) produce(s trace.Stream, n uint64) {
 	var c *chunk
 	defer func() {
@@ -93,6 +93,8 @@ func (p *supply) produce(s trace.Stream, n uint64) {
 		p.done <- struct{}{}
 	}()
 	for n > 0 {
+		// A quit token wins over a free chunk, which one select would
+		// choose between at random.
 		select {
 		case <-p.quit:
 			return
@@ -146,7 +148,7 @@ func (p *supply) take(want int) []trace.Ref {
 
 // stop ends the call's supply, cancelled, panicking or done: it tells the
 // producer to quit, waits until it has stopped reading the stream, and
-// returns the supply to the pool with every chunk back in hand.
+// returns the supply to the pool cleared, with every chunk back in hand.
 func (p *supply) stop() {
 	p.quit <- struct{}{}
 	<-p.done
@@ -160,6 +162,6 @@ func (p *supply) stop() {
 	case <-p.quit: // the producer had already finished
 	default:
 	}
-	p.cur = nil
+	p.panicked, p.cur, p.pos = nil, nil, 0
 	supplies.Put(p)
 }
