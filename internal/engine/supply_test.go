@@ -52,11 +52,11 @@ func (c *countStream) Next(r *trace.Ref) bool {
 }
 
 // call steps n references of s through e's detailed or functional path.
-func call(e *Engine, s trace.Stream, n uint64, functional bool) (cpu.Result, error) {
+func call(ctx context.Context, e *Engine, s trace.Stream, n uint64, functional bool) (cpu.Result, error) {
 	if functional {
-		return e.RunFunctional(context.Background(), s, n, 2.5)
+		return e.RunFunctional(ctx, s, n, 2.5)
 	}
-	return e.Run(context.Background(), s, n)
+	return e.Run(ctx, s, n)
 }
 
 // settleGoroutines fails t unless the goroutine count falls back to want
@@ -79,7 +79,7 @@ func TestSupplyReadsExactlyN(t *testing.T) {
 	for _, functional := range []bool{false, true} {
 		for _, n := range []uint64{supplyMinRefs, supplyMinRefs + 1, 32 * chunkRefs, 100_003} {
 			s := newCountStream("gcc")
-			res, err := call(New(cfg), s, n, functional)
+			res, err := call(context.Background(), New(cfg), s, n, functional)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func TestSupplyReadsExactlyN(t *testing.T) {
 		for _, end := range []uint64{supplyMinRefs + 5000, 20 * chunkRefs} {
 			s := newCountStream("gcc")
 			s.end = end
-			res, err := call(New(cfg), s, 100_000, functional)
+			res, err := call(context.Background(), New(cfg), s, 100_000, functional)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,12 +164,12 @@ func TestSupplyMatchesShortCalls(t *testing.T) {
 		sl, ss := newCountStream("twolf"), newCountStream("twolf")
 		var total uint64
 		for _, n := range lengths {
-			if _, err := call(long.e, sl, n, functional); err != nil {
+			if _, err := call(context.Background(), long.e, sl, n, functional); err != nil {
 				t.Fatal(err)
 			}
 			for left := n; left > 0; {
 				k := min(left, supplyMinRefs-1)
-				if _, err := call(short.e, ss, k, functional); err != nil {
+				if _, err := call(context.Background(), short.e, ss, k, functional); err != nil {
 					t.Fatal(err)
 				}
 				left -= k
@@ -237,14 +237,7 @@ func TestSupplyCancel(t *testing.T) {
 		start := runtime.NumGoroutine()
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		e := New(cfg)
-		var res cpu.Result
-		var err error
-		if functional {
-			res, err = e.RunFunctional(ctx, newCountStream("mcf"), 100_000, 0)
-		} else {
-			res, err = e.Run(ctx, newCountStream("mcf"), 100_000)
-		}
+		res, err := call(ctx, New(cfg), newCountStream("mcf"), 100_000, functional)
 		if !errors.Is(err, context.Canceled) || res.Refs != 0 {
 			t.Errorf("functional %v: a call cancelled before it started returned %v after %d references", functional, err, res.Refs)
 		}

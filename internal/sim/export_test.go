@@ -1,12 +1,6 @@
 package sim
 
-import (
-	"context"
-
-	"timekeeping/internal/cpu"
-	"timekeeping/internal/sample"
-	"timekeeping/internal/trace"
-)
+import "context"
 
 // RunReference is Run on the reference loop (cpu.Model driving
 // hier.Hierarchy, with core.Tracker): the executable specification the
@@ -19,6 +13,4 @@ func RunReference(ctx context.Context, s Spec) (Result, error) {
 
 // RunPhase is runPhase: one simulation window, with an oracle divergence
 // raised while stepping returned as its error.
-func RunPhase(ctx context.Context, m sample.Machine, stream trace.Stream, n uint64) (cpu.Result, error) {
-	return runPhase(ctx, m, stream, n)
-}
+var RunPhase = runPhase
