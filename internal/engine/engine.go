@@ -14,11 +14,12 @@
 //   - references are processed in fixed-size batches (batchRefs) so the
 //     context-check/progress cadence and the observability-counter
 //     flushes are amortised over thousands of references;
-//   - a call of at least supplyMinRefs references has them generated on a
-//     second goroutine, which reads exactly that call's references from
-//     the stream into a small ring of reused chunks (supply.go); the
-//     stepping loop, all machine state and both hooks stay on the
-//     caller's goroutine, so only where a sub-batch comes from changes;
+//   - a call of at least supplyMinRefs references, started while a P is
+//     free, has them generated on a second goroutine, which reads exactly
+//     that call's references from the stream into a small ring of reused
+//     chunks (supply.go); the stepping loop, all machine state and both
+//     hooks stay on the caller's goroutine, so only where a sub-batch
+//     comes from changes;
 //   - the ROB window lookup replaces the reference's per-reference binary
 //     search with a monotone finger (retirement queries are strictly
 //     increasing, so the answer only ever moves forward);
@@ -196,9 +197,9 @@ type Engine struct {
 	audL2   hier.L2Op
 	audL2On bool
 
-	// Reference lookahead buffer: a call below supplyMinRefs reads each
-	// sub-batch from the stream into it (a longer one takes it from its
-	// supply's chunk), and Run warms each reference's hash-table cache
+	// Reference lookahead buffer: a call without a supply reads each
+	// sub-batch from the stream into it (one with a supply takes it from
+	// the supply's chunk), and Run warms each reference's hash-table cache
 	// lines before stepping it, overlapping the tables' DRAM latency with
 	// earlier work. touchSink keeps the warming loads from being optimised
 	// away; no result ever reads it.
@@ -384,11 +385,11 @@ func (e *Engine) flushCounters() {
 // Run drives up to maxRefs references from the stream in batches,
 // mirroring cpu.Model.RunContext: cancellation and progress land on the
 // same reference counts, and the returned snapshot is cumulative. A call
-// of at least supplyMinRefs references reads them on a second goroutine,
-// exactly maxRefs of them unless the stream ends first, and that
-// goroutine has stopped when Run returns. After a cancelled call the
-// stream may have been read past the snapshot's count, so a caller drops
-// the stream then.
+// of at least supplyMinRefs references reads them on a second goroutine
+// when a P is free for it, exactly maxRefs of them unless the stream ends
+// first, and that goroutine has stopped when Run returns. After a
+// cancelled call the stream may have been read past the snapshot's
+// count, so a caller drops the stream then.
 func (e *Engine) Run(ctx context.Context, s trace.Stream, maxRefs uint64) (cpu.Result, error) {
 	return e.run(ctx, s, maxRefs, 0)
 }
@@ -413,11 +414,13 @@ func (e *Engine) RunFunctional(ctx context.Context, s trace.Stream, maxRefs uint
 // functional warming at that many subcycles per instruction.
 func (e *Engine) run(ctx context.Context, s trace.Stream, maxRefs, subPerInst uint64) (cpu.Result, error) {
 	var done, reported uint64
+	busy.Add(1)
 	sup := startSupply(s, maxRefs)
 	defer func() {
 		if sup != nil {
 			sup.stop()
 		}
+		busy.Add(-1)
 		e.prog.Add(done - reported)
 		e.flushCounters()
 		e.syncRefs()

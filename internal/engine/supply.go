@@ -1,7 +1,12 @@
 package engine
 
 import (
+	"fmt"
+	"os"
+	"runtime"
+	"runtime/debug"
 	"sync"
+	"sync/atomic"
 
 	"timekeeping/internal/trace"
 )
@@ -24,9 +29,35 @@ const (
 
 // Sub-batches start at multiples of touchBatch from the call's start, and
 // chunks at multiples of chunkRefs, so no sub-batch straddles two chunks
-// and a short take means the stream has ended. The array type below fails
+// and a short take means the supply has ended. The array type below fails
 // to compile when either size stops being a multiple of touchBatch.
 var _ [0]struct{} = [chunkRefs%touchBatch + batchRefs%touchBatch]struct{}{}
+
+// busy counts the threads engine calls keep busy in this process: one per
+// call in progress, long or short, and one per live producer. A long call
+// starts a producer only if that keeps busy within GOMAXPROCS, that is
+// while a P is free for it. So a lone simulation generates its references
+// beside its stepping loop, while GOMAXPROCS simulations at once (an
+// experiment sweep, a segmented run with a worker per P, a busy service)
+// and every call at GOMAXPROCS=1 read inline: a producer with no P of its
+// own only takes turns with the stepping loop and adds its hand-over
+// costs. Threads outside the engine, and other processes, are not counted.
+var busy atomic.Int32
+
+// claimCore counts a producer into busy if a P is free for it, and
+// reports whether it did. The caller's own call is already counted.
+func claimCore() bool {
+	procs := int32(runtime.GOMAXPROCS(0))
+	for {
+		b := busy.Load()
+		if b >= procs {
+			return false
+		}
+		if busy.CompareAndSwap(b, b+1) {
+			return true
+		}
+	}
+}
 
 // chunk is one hand-over unit: refs[:n] are consecutive stream references.
 // Every chunk but a call's last is full, so n < chunkRefs marks the last.
@@ -45,9 +76,14 @@ type supply struct {
 	chunks     [supplyChunks]chunk
 	free, full chan *chunk
 	quit, done chan struct{}
-	// panicked is what Next panicked with. The producer writes it before
-	// it sends its last chunk, and the caller reads it after receiving one.
+	// broke is set when Next panicked or ended the producer's goroutine
+	// (runtime.Goexit); panicked is what it panicked with, nil for a
+	// Goexit, and stack the producer's stack at the time. The producer
+	// writes them before it sends its last chunk, and the caller reads
+	// them after receiving it.
+	broke    bool
 	panicked any
+	stack    []byte
 
 	cur *chunk // the chunk the caller is stepping, nil before the first
 	pos int    // cur's next unread reference
@@ -66,10 +102,10 @@ var supplies = sync.Pool{New: func() any {
 }}
 
 // startSupply starts a producer that reads exactly n references from s,
-// fewer if s ends first, or returns nil when the call is shorter than
-// supplyMinRefs and should read inline.
+// fewer if s ends first, or returns nil when the call should read inline:
+// it is shorter than supplyMinRefs, or no P is free for a producer.
 func startSupply(s trace.Stream, n uint64) *supply {
-	if n < supplyMinRefs {
+	if n < supplyMinRefs || !claimCore() {
 		return nil
 	}
 	p := supplies.Get().(*supply)
@@ -81,29 +117,34 @@ func startSupply(s trace.Stream, n uint64) *supply {
 }
 
 // produce fills free chunks from s and hands them to the caller in stream
-// order, until it has read n references, s ends, Next panics or the
-// caller quits.
+// order, until it has read n references, s ends, Next panics or ends the
+// goroutine, or the caller quits.
 func (p *supply) produce(s trace.Stream, n uint64) {
 	var c *chunk
+	filled := false // the loop ended rather than unwound
 	defer func() {
-		if r := recover(); r != nil {
-			p.panicked = r
-			p.full <- c // c.n < chunkRefs: the references before the panic
+		if !filled {
+			// Next panicked or called runtime.Goexit; c holds the
+			// references before it, so c.n < chunkRefs.
+			p.broke, p.panicked, p.stack = true, recover(), debug.Stack()
+			p.full <- c
 		}
+		busy.Add(-1)
 		p.done <- struct{}{}
 	}()
+fill:
 	for n > 0 {
 		// A quit token wins over a free chunk, which one select would
 		// choose between at random.
 		select {
 		case <-p.quit:
-			return
+			break fill
 		default:
 		}
 		select {
 		case c = <-p.free:
 		case <-p.quit:
-			return
+			break fill
 		}
 		want := n
 		if want > chunkRefs {
@@ -116,34 +157,45 @@ func (p *supply) produce(s trace.Stream, n uint64) {
 		n -= uint64(c.n)
 		p.full <- c
 		if c.n < chunkRefs {
-			return // s ended, or this was the call's last chunk
+			break // s ended, or this was the call's last chunk
 		}
 	}
+	filled = true
 }
 
-// take returns the next up to want references, fewer only when the stream
-// has ended. The slice stays valid until the next take. A panic in Next
-// resurfaces here, on the caller's goroutine.
+// take returns the next up to want references, fewer only when the supply
+// has ended. The slice stays valid until the next take. Where Next panicked
+// or ended its goroutine, take does the same on the caller's goroutine, at
+// the sub-batch whose read it broke, as an inline read would have.
 func (p *supply) take(want int) []trace.Ref {
-	if p.cur == nil || p.pos == p.cur.n {
+	if p.cur == nil || p.pos == chunkRefs {
 		if p.cur != nil {
-			if p.cur.n < chunkRefs {
-				return nil // the last chunk, used up
-			}
 			p.free <- p.cur
 		}
 		p.cur, p.pos = <-p.full, 0
-		if p.cur.n < chunkRefs && p.panicked != nil {
-			panic(p.panicked)
-		}
 	}
 	end := p.pos + want
 	if end > p.cur.n {
+		// Only the last chunk comes up short.
+		if p.broke {
+			p.rethrow()
+		}
 		end = p.cur.n
 	}
 	refs := p.cur.refs[p.pos:end]
 	p.pos = end
 	return refs
+}
+
+// rethrow repeats on the caller's goroutine what Next did on the
+// producer's: runtime.Goexit, or the same panic, after printing the
+// producer's stack, which the new panic's trace does not show.
+func (p *supply) rethrow() {
+	if p.panicked == nil {
+		runtime.Goexit()
+	}
+	fmt.Fprintf(os.Stderr, "engine: reference stream panicked on the supply goroutine: %v\n\n%s\n", p.panicked, p.stack)
+	panic(p.panicked)
 }
 
 // stop ends the call's supply, cancelled, panicking or done: it tells the
@@ -162,6 +214,6 @@ func (p *supply) stop() {
 	case <-p.quit: // the producer had already finished
 	default:
 	}
-	p.panicked, p.cur, p.pos = nil, nil, 0
+	p.broke, p.panicked, p.stack, p.cur, p.pos = false, nil, nil, nil, 0
 	supplies.Put(p)
 }

@@ -1,10 +1,14 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
+	"os"
 	"reflect"
 	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
@@ -21,28 +25,40 @@ import (
 )
 
 // countStream yields a workload's references and counts them. It ends
-// after end references when end is nonzero, and its Next panics with
-// errBrokenStream on reference panicAt when that is nonzero.
+// after end references when end is nonzero; its Next panics with
+// errBrokenStream on reference panicAt, and calls runtime.Goexit on
+// reference exitAt, when those are nonzero. aside records whether Next
+// ran on a goroutine other than the one that made the stream, checked
+// once a chunk: whether a producer served the calls.
 type countStream struct {
 	s       trace.Stream
 	yielded uint64
 	end     uint64
 	panicAt uint64
+	exitAt  uint64
+	maker   uint64
+	aside   bool
 }
 
 var errBrokenStream = errors.New("stream broke")
 
 func newCountStream(bench string) *countStream {
 	spec := workload.MustProfile(bench)
-	return &countStream{s: spec.Stream(1)}
+	return &countStream{s: spec.Stream(1), maker: goid()}
 }
 
 func (c *countStream) Next(r *trace.Ref) bool {
+	if c.yielded%chunkRefs == 0 && goid() != c.maker {
+		c.aside = true
+	}
 	if c.end != 0 && c.yielded == c.end {
 		return false
 	}
 	if c.panicAt != 0 && c.yielded+1 == c.panicAt {
 		panic(errBrokenStream)
+	}
+	if c.exitAt != 0 && c.yielded+1 == c.exitAt {
+		runtime.Goexit()
 	}
 	if !c.s.Next(r) {
 		return false
@@ -59,8 +75,43 @@ func call(ctx context.Context, e *Engine, s trace.Stream, n uint64, functional b
 	return e.Run(ctx, s, n)
 }
 
+// goid returns the calling goroutine's ID, read off its stack header.
+func goid() uint64 {
+	var buf [64]byte
+	b := bytes.TrimPrefix(buf[:runtime.Stack(buf[:], false)], []byte("goroutine "))
+	id, err := strconv.ParseUint(string(b[:bytes.IndexByte(b, ' ')]), 10, 64)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
+// freeCore makes sure a long call in t finds a P free for its producer:
+// it raises GOMAXPROCS to two for t when it is lower, and fails t if an
+// engine call or producer is still counted busy.
+func freeCore(t *testing.T) {
+	t.Helper()
+	if runtime.GOMAXPROCS(0) < 2 {
+		prev := runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+	if b := busy.Load(); b != 0 {
+		t.Fatalf("%d engine calls and producers counted busy before the test, want 0", b)
+	}
+}
+
+// inline runs f with every P counted busy, so a long call in f reads its
+// stream inline.
+func inline(f func()) {
+	others := int32(runtime.GOMAXPROCS(0))
+	busy.Add(others)
+	defer busy.Add(-others)
+	f()
+}
+
 // settleGoroutines fails t unless the goroutine count falls back to want
-// within a second: a producer that outlives its call keeps it higher.
+// within a second, and every busy count has been given back: a producer
+// that outlives its call keeps both higher.
 func settleGoroutines(t *testing.T, want int) {
 	t.Helper()
 	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > want; time.Sleep(time.Millisecond) {
@@ -68,13 +119,17 @@ func settleGoroutines(t *testing.T, want int) {
 			t.Fatalf("%d goroutines after the call, %d before it", runtime.NumGoroutine(), want)
 		}
 	}
+	if b := busy.Load(); b != 0 {
+		t.Fatalf("%d engine calls and producers still counted busy after the call", b)
+	}
 }
 
 // TestSupplyReadsExactlyN: a long call, detailed or functional, reads
-// exactly its n references from the stream, whether n fills its last
-// chunk or not, and a stream shorter than n ends the call at its end,
-// mid-chunk or on a chunk boundary.
+// exactly its n references from the stream on its producer, whether n
+// fills its last chunk or not, and a stream shorter than n ends the call
+// at its end, mid-chunk or on a chunk boundary.
 func TestSupplyReadsExactlyN(t *testing.T) {
+	freeCore(t)
 	cfg := Config{Hier: hier.DefaultConfig(), CPU: cpu.DefaultConfig()}
 	for _, functional := range []bool{false, true} {
 		for _, n := range []uint64{supplyMinRefs, supplyMinRefs + 1, 32 * chunkRefs, 100_003} {
@@ -83,9 +138,9 @@ func TestSupplyReadsExactlyN(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.yielded != n || res.Refs != n {
-				t.Errorf("functional %v, n %d: the stream yielded %d references and the call stepped %d",
-					functional, n, s.yielded, res.Refs)
+			if s.yielded != n || res.Refs != n || !s.aside {
+				t.Errorf("functional %v, n %d: the stream yielded %d references and the call stepped %d (read by a producer: %v)",
+					functional, n, s.yielded, res.Refs, s.aside)
 			}
 		}
 		for _, end := range []uint64{supplyMinRefs + 5000, 20 * chunkRefs} {
@@ -95,9 +150,9 @@ func TestSupplyReadsExactlyN(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s.yielded != end || res.Refs != end {
-				t.Errorf("functional %v, stream of %d: it yielded %d references and the call stepped %d",
-					functional, end, s.yielded, res.Refs)
+			if s.yielded != end || res.Refs != end || !s.aside {
+				t.Errorf("functional %v, stream of %d: it yielded %d references and the call stepped %d (read by a producer: %v)",
+					functional, end, s.yielded, res.Refs, s.aside)
 			}
 		}
 	}
@@ -158,6 +213,7 @@ func (r supplyRig) outcome() supplyOutcome {
 // stream exactly where its references end, or the calls after it step
 // other references.
 func TestSupplyMatchesShortCalls(t *testing.T) {
+	freeCore(t)
 	lengths := []uint64{3*supplyMinRefs + 777, 3000, 2*supplyMinRefs + 5}
 	for _, functional := range []bool{false, true} {
 		long, short := newSupplyRig(), newSupplyRig()
@@ -178,6 +234,9 @@ func TestSupplyMatchesShortCalls(t *testing.T) {
 		}
 		if sl.yielded != total || ss.yielded != total {
 			t.Fatalf("functional %v: the streams yielded %d and %d references, want %d", functional, sl.yielded, ss.yielded, total)
+		}
+		if !sl.aside || ss.aside {
+			t.Fatalf("functional %v: a producer read the long calls' stream: %v, the short calls' stream: %v", functional, sl.aside, ss.aside)
 		}
 		if got, want := long.outcome(), short.outcome(); !reflect.DeepEqual(got, want) {
 			t.Errorf("functional %v: long calls differ from short ones\nlong:  %+v\nshort: %+v", functional, got, want)
@@ -208,6 +267,7 @@ func (a *cancelAuditor) AuditPrefetchFill(uint64, uint64, bool, cache.Victim) {}
 // outlives the call, and the stream has yielded no more than the call's
 // references.
 func TestSupplyCancel(t *testing.T) {
+	freeCore(t)
 	cfg := Config{Hier: hier.DefaultConfig(), CPU: cpu.DefaultConfig()}
 	const at = 5000
 	for _, n := range []uint64{supplyMinRefs - 1, 100_000} {
@@ -232,6 +292,9 @@ func TestSupplyCancel(t *testing.T) {
 		if s.yielded > n || s.yielded < res.Refs {
 			t.Errorf("n %d: the stream yielded %d references for a call that stepped %d", n, s.yielded, res.Refs)
 		}
+		if s.aside != (n >= supplyMinRefs) {
+			t.Errorf("n %d: a producer read the stream: %v", n, s.aside)
+		}
 	}
 	for _, functional := range []bool{false, true} {
 		start := runtime.NumGoroutine()
@@ -247,21 +310,49 @@ func TestSupplyCancel(t *testing.T) {
 
 // TestSupplyNextPanic: a panic in the stream's Next, which runs on the
 // producer goroutine, resurfaces on the caller's goroutine with the same
-// value, the producer is gone afterwards, and the next long call, which
-// takes the same pooled supply, runs normally.
+// value, after the same references as an inline read steps: those of the
+// sub-batches before the one whose read broke. The producer's stack is
+// printed first, the producer is gone afterwards, and the next long call,
+// which takes the same pooled supply, runs normally.
 func TestSupplyNextPanic(t *testing.T) {
+	freeCore(t)
 	cfg := Config{Hier: hier.DefaultConfig(), CPU: cpu.DefaultConfig()}
 	start := runtime.NumGoroutine()
-	s := newCountStream("vpr")
-	s.panicAt = 20_000
-	var got any
-	func() {
-		defer func() { got = recover() }()
+	const panicAt = 20_000
+	broken := func() (got any, stepped uint64, aside bool) {
 		e := New(cfg)
+		s := newCountStream("vpr")
+		s.panicAt = panicAt
+		defer func() { got, stepped, aside = recover(), e.Snapshot().Refs, s.aside }()
 		_, _ = e.Run(context.Background(), s, 100_000)
-	}()
-	if got != errBrokenStream {
-		t.Fatalf("recovered %v, want the stream's panic %v", got, errBrokenStream)
+		return
+	}
+	var inlineGot any
+	var inlineStepped uint64
+	inline(func() { inlineGot, inlineStepped, _ = broken() })
+
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	got, stepped, aside := broken()
+	os.Stderr = stderr
+	w.Close()
+	printed, _ := io.ReadAll(r)
+	r.Close()
+
+	if got != errBrokenStream || inlineGot != errBrokenStream || !aside {
+		t.Fatalf("recovered %v from the supplied call (read by a producer: %v) and %v from the inline one, want the stream's panic %v",
+			got, aside, inlineGot, errBrokenStream)
+	}
+	if want := uint64(panicAt - 1 - (panicAt-1)%touchBatch); stepped != want || inlineStepped != want {
+		t.Errorf("the supplied call stepped %d references before the panic and the inline one %d, want %d",
+			stepped, inlineStepped, want)
+	}
+	if !bytes.Contains(printed, []byte("(*countStream).Next")) {
+		t.Errorf("printed %q before re-raising, want the producer's stack through countStream.Next", printed)
 	}
 	settleGoroutines(t, start)
 
@@ -272,4 +363,70 @@ func TestSupplyNextPanic(t *testing.T) {
 			res.Refs, fresh.yielded, err)
 	}
 	settleGoroutines(t, start)
+}
+
+// TestSupplyNextGoexit: a Next that ends its goroutine with runtime.Goexit,
+// as t.FailNow does, ends the caller's goroutine when it runs on the
+// producer, as it does inline, rather than leaving the call waiting for a
+// chunk that never comes.
+func TestSupplyNextGoexit(t *testing.T) {
+	freeCore(t)
+	cfg := Config{Hier: hier.DefaultConfig(), CPU: cpu.DefaultConfig()}
+	start := runtime.NumGoroutine()
+	ended := make(chan bool)
+	var s *countStream
+	go func() {
+		returned := false
+		defer func() { ended <- returned }()
+		s = newCountStream("vpr")
+		s.exitAt = 20_000
+		_, _ = New(cfg).Run(context.Background(), s, 100_000)
+		returned = true
+	}()
+	select {
+	case returned := <-ended:
+		if returned {
+			t.Fatal("Run returned after Next called runtime.Goexit")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the call still waits 10 s after Next called runtime.Goexit")
+	}
+	if !s.aside {
+		t.Fatal("the stream was read inline, not by a producer")
+	}
+	settleGoroutines(t, start)
+}
+
+// TestSupplyNeedsFreeCore: a long call starts a producer only while a P is
+// free for it. It reads inline when as many other engine calls and
+// producers are counted busy as there are Ps, or at GOMAXPROCS=1, and
+// gives back what it counted when it returns.
+func TestSupplyNeedsFreeCore(t *testing.T) {
+	freeCore(t)
+	cfg := Config{Hier: hier.DefaultConfig(), CPU: cpu.DefaultConfig()}
+	supplied := func(others int32) bool {
+		busy.Add(others)
+		defer busy.Add(-others)
+		s := newCountStream("eon")
+		if _, err := New(cfg).Run(context.Background(), s, 2*supplyMinRefs); err != nil {
+			t.Fatal(err)
+		}
+		return s.aside
+	}
+	procs := int32(runtime.GOMAXPROCS(0))
+	if !supplied(procs - 2) {
+		t.Errorf("with %d of %d Ps busy before the call, it read inline", procs-2, procs)
+	}
+	if supplied(procs - 1) {
+		t.Errorf("with %d of %d Ps busy before the call, a producer read its stream", procs-1, procs)
+	}
+	prev := runtime.GOMAXPROCS(1)
+	one := supplied(0)
+	runtime.GOMAXPROCS(prev)
+	if one {
+		t.Error("at GOMAXPROCS=1 a producer read the stream")
+	}
+	if b := busy.Load(); b != 0 {
+		t.Errorf("%d engine calls and producers still counted busy after the calls", b)
+	}
 }

@@ -20,7 +20,12 @@ import (
 // reads, still becomes runPhase's error, as it does under TK_AUDIT, and
 // that goroutine is gone when runPhase returns. The auditor models an L1
 // a quarter the engine's size, so the two disagree a few references in.
+// A long call starts its producer only when a P is free for it, so the
+// test runs with at least two.
 func TestSupplyDivergenceIsRunPhaseError(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
 	cfg := engine.Config{Hier: hier.DefaultConfig(), CPU: cpu.DefaultConfig()}
 	l1 := cfg.Hier.L1
 	l1.Bytes /= 4

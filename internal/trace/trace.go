@@ -67,7 +67,8 @@ type Ref struct {
 // are typically infinite and never return false. The engine may call Next
 // from a goroutine other than its caller's, to generate a long run's
 // references beside the simulation, but never from two goroutines at
-// once, and every call has returned before the engine's Run does.
+// once, and every call has returned before the engine's Run does. A
+// panic or runtime.Goexit in such a call is repeated on Run's goroutine.
 type Stream interface {
 	Next(r *Ref) bool
 }
