@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -429,4 +430,43 @@ func TestSupplyNeedsFreeCore(t *testing.T) {
 	if b := busy.Load(); b != 0 {
 		t.Errorf("%d engine calls and producers still counted busy after the calls", b)
 	}
+}
+
+// TestSupplyConcurrentCalls: long calls on several engines at once, more
+// of them than there are Ps, each step exactly their own references,
+// whether they won a producer or read inline, and the busy count comes
+// back to zero. Run it under -race.
+func TestSupplyConcurrentCalls(t *testing.T) {
+	freeCore(t)
+	cfg := Config{Hier: hier.DefaultConfig(), CPU: cpu.DefaultConfig()}
+	benches := []string{"gcc", "mcf", "twolf", "eon"}
+	const n = 3*supplyMinRefs + 100
+	want := make([]cpu.Result, len(benches))
+	inline(func() {
+		for i, b := range benches {
+			res, err := New(cfg).Run(context.Background(), newCountStream(b), n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = res
+		}
+	})
+	start := runtime.NumGoroutine()
+	got := make([]cpu.Result, len(benches))
+	errs := make([]error, len(benches))
+	var wg sync.WaitGroup
+	for i, b := range benches {
+		wg.Add(1)
+		go func(i int, b string) {
+			defer wg.Done()
+			got[i], errs[i] = New(cfg).Run(context.Background(), newCountStream(b), n)
+		}(i, b)
+	}
+	wg.Wait()
+	for i, b := range benches {
+		if errs[i] != nil || got[i] != want[i] {
+			t.Errorf("%s: concurrent call returned %+v (err %v), alone and inline %+v", b, got[i], errs[i], want[i])
+		}
+	}
+	settleGoroutines(t, start)
 }

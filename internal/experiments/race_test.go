@@ -48,10 +48,12 @@ func TestConcurrentRunnersShareCache(t *testing.T) {
 		t.Fatal("reference grid simulated nothing")
 	}
 
-	// Two runners race over a fresh shared store.
+	// Two runners race over a fresh shared store. The counter is read
+	// before they start, so every access they make falls in the delta.
 	shared := simcache.New()
 	var wg sync.WaitGroup
 	got := make([]map[string]sim.Result, 2)
+	before = ctr.Value()
 	for i := range got {
 		wg.Add(1)
 		go func(i int) {
@@ -59,7 +61,6 @@ func TestConcurrentRunnersShareCache(t *testing.T) {
 			got[i] = grid(newRunner(shared))
 		}(i)
 	}
-	before = ctr.Value()
 	wg.Wait()
 	sharedCost := ctr.Value() - before
 
