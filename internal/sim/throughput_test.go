@@ -22,9 +22,11 @@ import (
 // and fails below 85% of the baseline's speedup. Ratios, not refs/sec,
 // so the baseline holds on any machine. The engine side includes the
 // goroutine that generates each call's references beside the stepping
-// loop (every warm-up and measurement here is a long call), which the
-// reference loop does not have: on a 2-vCPU Xeon the median read
-// 2.97–3.55× with it (four runs) against 2.60–3.08× without. Run it with
+// loop (every warm-up and measurement here is a long call, and one runs
+// at a time, so a P is free for it), which the reference loop does not
+// have: on a 2-vCPU Xeon the median read 2.97–3.55× with it (eight runs)
+// against 2.60–3.08× without, so the floor catches a smaller share of a
+// stepping-loop regression than it did. Run it with
 //
 //	go test -run '^$' -bench '^BenchmarkCoreThroughput$' -benchtime 1x ./internal/sim
 func BenchmarkCoreThroughput(b *testing.B) {
