@@ -68,19 +68,29 @@ func BenchmarkEventsFull(b *testing.B) {
 	runEventsBench(b, &events.Config{Cap: 1 << 16})
 }
 
-// minWall runs f `runs` times and returns the fastest wall time — the
-// standard way to compare code paths on a noisy machine, since the
-// minimum is the least contaminated by scheduling interference.
-func minWall(runs int, f func()) time.Duration {
-	best := time.Duration(1<<63 - 1)
-	for i := 0; i < runs; i++ {
+// minWallAlternating runs a and b `runs` times each, alternating them and
+// which of the two starts each round, and returns each one's fastest wall
+// time. The minimum is the least contaminated by scheduling interference,
+// and alternating puts both sides under any load that comes and goes
+// during the comparison, where timing one side's runs after the other's
+// would charge it to one side alone.
+func minWallAlternating(runs int, a, b func()) (minA, minB time.Duration) {
+	minA, minB = time.Duration(1<<63-1), time.Duration(1<<63-1)
+	timed := func(f func(), best *time.Duration) {
 		start := time.Now()
 		f()
-		if d := time.Since(start); d < best {
-			best = d
+		*best = min(*best, time.Since(start))
+	}
+	for i := 0; i < runs; i++ {
+		if i%2 == 0 {
+			timed(a, &minA)
+			timed(b, &minB)
+		} else {
+			timed(b, &minB)
+			timed(a, &minA)
 		}
 	}
-	return best
+	return minA, minB
 }
 
 // eventsRun returns one gcc run at eventsBenchOptions' scale, with a
@@ -119,7 +129,8 @@ func TestEventsCaptureAllocs(t *testing.T) {
 // four-set capture of the Figure 1 baseline must cost no more than 10%
 // over the tracing-off run, plus a fixed slack that keeps the guard
 // meaningful without turning CI scheduling jitter into failures. Both
-// sides run on the engine, the path every capture takes. The race
+// sides run on the engine, the path every capture takes, five times each,
+// alternating, and each side's fastest run counts. The race
 // detector slows the captured run's generator and engine unevenly, so
 // under it the budget is only logged; TestEventsCaptureAllocs holds
 // either way.
@@ -134,8 +145,7 @@ func TestEventsOverhead(t *testing.T) {
 	eventsRun(t, nil)()
 	eventsRun(t, filteredCfg)()
 
-	off := minWall(5, eventsRun(t, nil))
-	filtered := minWall(5, eventsRun(t, filteredCfg))
+	off, filtered := minWallAlternating(5, eventsRun(t, nil), eventsRun(t, filteredCfg))
 
 	limit := off + off/10 + 25*time.Millisecond
 	t.Logf("events off %v, filtered %v (budget %v)", off, filtered, limit)

@@ -301,6 +301,12 @@ func (e *Engine) TakeSeenSet(donor *Engine) {
 	e.classifier.seen.Take(&donor.classifier.seen)
 }
 
+// ExpectBlocks tells e that its run touches at most n distinct L1
+// blocks, so the seen set's first grow goes straight to their size
+// (hashtab.Table.Expect); 0 leaves it doubling from its first size. The
+// count sizes the set and changes no result.
+func (e *Engine) ExpectBlocks(n int) { e.classifier.seen.Expect(n) }
+
 // SetProgress attaches a live progress handle (nil detaches).
 func (e *Engine) SetProgress(p *obs.Progress) { e.prog = p }
 

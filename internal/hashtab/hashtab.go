@@ -9,6 +9,11 @@
 // on the hot path. Keys are never deleted, so a zero key marks an empty
 // slot and probes never need tombstones; key 0, a real key, is held out
 // of band.
+//
+// A table may be told how many keys to expect (Expect). It still starts
+// small, so a short fill allocates no more than an untold table, but its
+// first grow goes straight to a size that holds the expected keys, so a
+// long fill does not leave a chain of outgrown arrays behind it.
 package hashtab
 
 import "unsafe"
@@ -30,14 +35,17 @@ type slot[V any] struct {
 
 // Table is an insert-only open-addressed map from uint64 keys to values
 // of type V. It allocates its slots on the first insert of a nonzero key
-// and doubles them at 3/4 load. Capacity and probe order show only in
-// Slots, Bytes, Touch, a stale index given to At and the order of Range.
-// The zero value is an empty table whose first insert allocates 16 slots.
+// and doubles them at 3/4 load, or grows straight to the size that holds
+// the keys Expect named when doubling would fall short of it. Capacity
+// and probe order show only in Slots, Bytes, Touch, a stale index given
+// to At and the order of Range. The zero value is an empty table that
+// expects nothing and whose first insert allocates 16 slots.
 type Table[V any] struct {
 	slots []slot[V]
 	mask  uint64
 	n     int // keys held in slots; key 0 is not counted
 	first int // slots the first insert allocates
+	fit   int // slots that hold the expected keys; 0 when none are
 	zero  V   // key 0's value, held out of band
 	has0  bool
 }
@@ -51,6 +59,22 @@ func New[V any](first int) Table[V] {
 		c <<= 1
 	}
 	return Table[V]{first: c}
+}
+
+// Expect tells the table to expect n keys. Its first allocation keeps
+// its size, but no grow then stops short of the smallest power of two
+// whose 3/4 load exceeds n, so a fill of n keys grows at most once. An n
+// of 0 or less, or one no table could hold, expects nothing: the table
+// doubles from its first size. A wrong n costs memory or one more grow,
+// never a result.
+func (t *Table[V]) Expect(n int) {
+	t.fit = 0
+	for c := 16; n > 0 && c > 0; c <<= 1 {
+		if c-c/4 > n {
+			t.fit = c
+			return
+		}
+	}
 }
 
 // Put returns key's value, inserting a zero value if key is absent, with
@@ -101,6 +125,9 @@ func (t *Table[V]) At(i uint32, key uint64) *V {
 func (t *Table[V]) grow() {
 	old := t.slots
 	c := max(2*len(old), t.first, 16)
+	if old != nil {
+		c = max(c, t.fit)
+	}
 	t.slots = make([]slot[V], c)
 	t.mask = uint64(c - 1)
 	for i := range old {
@@ -143,14 +170,15 @@ func (t *Table[V]) Reset() {
 // Take moves donor's slots into t, cleared, when they outnumber t's own,
 // and leaves donor with none; otherwise it changes neither table. A
 // finished owner's grown table so replaces a new owner's first growth.
-// t must hold no key yet, and the slots it held are dropped.
+// Each table keeps its own first size and expected count. t must hold no
+// key yet, and the slots it held are dropped.
 func (t *Table[V]) Take(donor *Table[V]) {
 	if len(donor.slots) <= len(t.slots) {
 		return
 	}
 	clear(donor.slots)
-	*t = Table[V]{slots: donor.slots, mask: donor.mask, first: t.first}
-	*donor = Table[V]{first: donor.first}
+	*t = Table[V]{slots: donor.slots, mask: donor.mask, first: t.first, fit: t.fit}
+	*donor = Table[V]{first: donor.first, fit: donor.fit}
 }
 
 // Touch returns the key in the home slot of a key whose Hash is h, or 0

@@ -2,6 +2,8 @@ package hashtab
 
 import (
 	"maps"
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -157,6 +159,117 @@ func TestSlotSizes(t *testing.T) {
 	} {
 		if c.got != c.want {
 			t.Errorf("a %s value takes a %d-byte slot, want %d", c.name, c.got, c.want)
+		}
+	}
+}
+
+// fitSlots returns the smallest power of two of at least 16 whose 3/4
+// load exceeds n: the size a table told to expect n keys grows to.
+func fitSlots(n int) int {
+	c := 16
+	for c-c/4 <= n {
+		c <<= 1
+	}
+	return c
+}
+
+// fill puts the nonzero keys (from+1)*64 up to to*64 into tab, counting
+// each in want, and returns the slot counts tab grew to on the way.
+func fill(tab *Table[uint64], want map[uint64]uint64, from, to uint64) (grows []int) {
+	for k := from + 1; k <= to; k++ {
+		before := tab.Slots()
+		v, _, _ := tab.Put(k * 64)
+		*v++
+		want[k*64]++
+		if before > 0 && tab.Slots() != before {
+			grows = append(grows, tab.Slots())
+		}
+	}
+	return grows
+}
+
+// TestTableExpect: a table told to expect n keys and filled with n
+// distinct nonzero keys grows exactly once, to the smallest
+// power of two whose 3/4 load exceeds n, and matches a Go map. Putting
+// the same keys again grows it no further, n at a load boundary
+// included (768 keys fill 1024 slots to 3/4). Filled past that size's
+// 3/4 load, it doubles as before.
+func TestTableExpect(t *testing.T) {
+	for _, n := range []int{13, 100, 768, 5000, 20000} {
+		tab, want := New[uint64](16), map[uint64]uint64{}
+		tab.Expect(n)
+		grows := fill(&tab, want, 0, uint64(n))
+		if len(grows) != 1 || grows[0] != fitSlots(n) {
+			t.Fatalf("n=%d: grew to %v slots, want once, to %d", n, grows, fitSlots(n))
+		}
+		if again := fill(&tab, want, 0, uint64(n)); len(again) != 0 {
+			t.Fatalf("n=%d: putting the same keys again grew the table to %v slots", n, again)
+		}
+		if got := contents(t, &tab); !maps.Equal(got, want) {
+			t.Fatalf("n=%d: Range visited %d keys, map holds %d, or their counts differ", n, len(got), len(want))
+		}
+		past := fill(&tab, want, uint64(n), uint64(3*fitSlots(n)/2))
+		if len(past) != 1 || past[0] != 2*fitSlots(n) {
+			t.Fatalf("n=%d: filled past its size, the table grew to %v slots, want one doubling to %d",
+				n, past, 2*fitSlots(n))
+		}
+		if got := contents(t, &tab); !maps.Equal(got, want) {
+			t.Fatalf("n=%d: after doubling, the table and the map differ", n)
+		}
+	}
+}
+
+// TestTableExpectNothing: a table told to expect 0 keys, a negative count
+// or one no table could hold grows through the same sizes as a table
+// told nothing, doubling from its first size.
+func TestTableExpectNothing(t *testing.T) {
+	told := New[uint64](16)
+	told.Expect(100)
+	told.Expect(0) // a later count replaces an earlier one
+	plain := New[uint64](16)
+	want := fill(&plain, map[uint64]uint64{}, 0, 5000)
+	if len(want) < 8 {
+		t.Fatalf("the untold table grew %d times, want a doubling chain of at least 8", len(want))
+	}
+	for _, n := range []int{0, -1, math.MaxInt} {
+		tab := New[uint64](16)
+		tab.Expect(100)
+		tab.Expect(n)
+		if got := fill(&tab, map[uint64]uint64{}, 0, 5000); !slices.Equal(got, want) {
+			t.Errorf("expecting %d keys, the table grew to %v slots, want %v", n, got, want)
+		}
+	}
+}
+
+// TestTableTakeKeepsExpect: Take leaves each table its own expected
+// count. A taker told to expect 20,000 keys that takes a donor's 4096
+// slots grows from them straight to its own fit, and one told nothing
+// doubles; the donor, refilled, grows to the fit it was told.
+func TestTableTakeKeepsExpect(t *testing.T) {
+	for _, c := range []struct {
+		expect int
+		grows  []int
+	}{
+		{20000, []int{fitSlots(20000)}},
+		{0, []int{8192}},
+	} {
+		donor := New[uint64](16)
+		donor.Expect(3000)
+		fill(&donor, map[uint64]uint64{}, 0, 3000)
+		if donor.Slots() != 4096 {
+			t.Fatalf("donor holds %d slots, want 4096", donor.Slots())
+		}
+		taker := New[uint64](16)
+		taker.Expect(c.expect)
+		taker.Take(&donor)
+		if taker.Slots() != 4096 {
+			t.Fatalf("taker holds %d slots after Take, want the donor's 4096", taker.Slots())
+		}
+		if got := fill(&taker, map[uint64]uint64{}, 0, 3073); !slices.Equal(got, c.grows) {
+			t.Errorf("taker told %d keys grew to %v slots past 3/4 of 4096, want %v", c.expect, got, c.grows)
+		}
+		if got := fill(&donor, map[uint64]uint64{}, 0, 3000); !slices.Equal(got, []int{4096}) {
+			t.Errorf("refilled donor grew to %v slots, want its own fit, [4096]", got)
 		}
 	}
 }

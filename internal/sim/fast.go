@@ -14,12 +14,15 @@ import (
 
 // assembleFast builds the batched engine with opt's mechanisms attached and
 // returns it with the rig driving it. ev, when non-nil, receives the
-// engine's and the mechanisms' events. A sampled run builds its own machine
-// or every segment's through it.
-func assembleFast(opt Options, ev *events.Sink) (*engine.Engine, *rig) {
+// engine's and the mechanisms' events. blocks, the run's expected count
+// of distinct L1 blocks (0 when unknown), sizes the first grow of the
+// seen set and of the tracker's block-history table. A sampled run
+// builds its own machine or every segment's through it.
+func assembleFast(opt Options, ev *events.Sink, blocks int) (*engine.Engine, *rig) {
 	e := engine.New(engine.Config{Hier: opt.Hier, CPU: opt.CPU})
 	e.SetEvents(ev)
 	e.SetProgress(opt.Progress)
+	e.ExpectBlocks(blocks)
 	r := &rig{m: e}
 	if vc := newVictimCache(opt, e.NumFrames()); vc != nil {
 		vc.SetEvents(ev)
@@ -40,6 +43,7 @@ func assembleFast(opt Options, ev *events.Sink) (*engine.Engine, *rig) {
 
 	if opt.Track {
 		tr := core.NewFastTracker(e.NumFrames())
+		tr.ExpectBlocks(blocks)
 		e.AttachTracker(tr)
 		r.tracker = tr
 	}
@@ -72,7 +76,7 @@ func (r *rig) takeTables(donor *rig) {
 // sequence and result assembly mirror runReference exactly, and both
 // share runExact and runSampled; the differential gates hold the two
 // paths byte-identical.
-func runFast(ctx context.Context, name string, stream trace.Stream, opt Options) (Result, error) {
+func runFast(ctx context.Context, name string, stream trace.Stream, opt Options, blocks int) (Result, error) {
 	if opt.DropSWPrefetch {
 		stream = &trace.DropSWPrefetch{S: stream}
 	}
@@ -86,13 +90,13 @@ func runFast(ctx context.Context, name string, stream trace.Stream, opt Options)
 				"bench", name)
 		}
 		build := func(ev *events.Sink) *rig {
-			_, r := assembleFast(opt, ev)
+			_, r := assembleFast(opt, ev, blocks)
 			return r
 		}
 		return runSampled(ctx, name, build, stream, opt)
 	}
 
-	e, r := assembleFast(opt, opt.Events)
+	e, r := assembleFast(opt, opt.Events, blocks)
 	var aud *oracle.Auditor
 	if opt.Audit || auditForced() {
 		// The tracker and decay cross-checks are frame-keyed on the real

@@ -17,9 +17,11 @@ import (
 	"testing"
 	"time"
 
+	"timekeeping/internal/hashtab"
 	"timekeeping/internal/sample"
 	"timekeeping/internal/sim"
 	"timekeeping/internal/simcache"
+	"timekeeping/internal/trace"
 	"timekeeping/internal/workload"
 )
 
@@ -231,7 +233,8 @@ func sampledAllocs(t *testing.T, bench string, opt sim.Options, segWindows, par 
 // same spec allocates: each new segment machine takes over a finished
 // segment's seen set and block-history table, so the tables grow once per
 // worker. Regrowing them in every segment allocates about 4× at any
-// worker count.
+// worker count. The one-segment run allocates about 13.4 MB, 10.5 MB of
+// it the tables it ends with (TestTrackedRunGrowsTablesOnce).
 func TestSampledParallelRecyclesTables(t *testing.T) {
 	opt := sim.Default()
 	one := sampledAllocs(t, "mcf", opt, sample.MaxWindowCount, 1)
@@ -242,6 +245,46 @@ func TestSampledParallelRecyclesTables(t *testing.T) {
 		if ratio > bound {
 			t.Errorf("%d workers: a five-segment run allocated %.2f× a one-segment run, want at most %.1f×", par, ratio, bound)
 		}
+	}
+}
+
+// tableBytes returns the bytes of a seen set and a block-history table
+// that hold the distinct L1 blocks of bench's warm-up and measured
+// references: the tables a tracked run over them ends with. Both start,
+// as the machine's do, at 16K slots; a three-word value stands in for the
+// tracker's block history, whose slot is the same 32 bytes.
+func tableBytes(bench string, opt sim.Options) int {
+	seen, hist := hashtab.New[struct{}](1<<14), hashtab.New[[3]uint64](1<<14)
+	spec := workload.MustProfile(bench)
+	s := spec.Stream(opt.Seed)
+	var r trace.Ref
+	for n := opt.WarmupRefs + opt.MeasureRefs; n > 0; n-- {
+		s.Next(&r)
+		block := r.Addr &^ (opt.Hier.L1.BlockBytes - 1)
+		seen.Put(block)
+		hist.Put(block)
+	}
+	return seen.Bytes() + hist.Bytes()
+}
+
+// TestTrackedRunGrowsTablesOnce is the allocation gate for the run's
+// expected block count. The one-segment tracked mcf run that
+// TestSampledParallelRecyclesTables times touches 131,584 blocks, and sim
+// tells its machine so: the seen set and block-history table each grow
+// once, from 16K slots straight to the 256K that hold those blocks. The
+// run may allocate at most 1.5× the bytes of the tables it ends with; it
+// reads about 1.28×, and doubling from 16K slots reads about 2.15×.
+// TK_AUDIT does not audit sampled runs, so the audited pass runs it
+// unchanged.
+func TestTrackedRunGrowsTablesOnce(t *testing.T) {
+	opt := sim.Default()
+	got := sampledAllocs(t, "mcf", opt, sample.MaxWindowCount, 1)
+	tables := tableBytes("mcf", opt)
+	ratio := float64(got) / float64(tables)
+	t.Logf("one-segment run: %.1f MB allocated, %.2f× its %.1f MB of tables", float64(got)/1e6, ratio, float64(tables)/1e6)
+	if ratio > 1.5 {
+		t.Errorf("a one-segment tracked mcf run allocated %.2f× the %.1f MB of tables it ends with, want at most 1.5×",
+			ratio, float64(tables)/1e6)
 	}
 }
 

@@ -298,8 +298,10 @@ func Run(ctx context.Context, s Spec) (Result, error) {
 }
 
 // runFunc simulates a validated run: stream under opt, labelled name.
+// blocks bounds the distinct L1 blocks the run touches, or is 0 when
+// unknown; it sizes the engine's growable tables and changes no result.
 // Production runs take runFast; runReference is the tests' oracle.
-type runFunc func(ctx context.Context, name string, stream trace.Stream, opt Options) (Result, error)
+type runFunc func(ctx context.Context, name string, stream trace.Stream, opt Options, blocks int) (Result, error)
 
 // run validates s and hands it to simulate.
 func run(ctx context.Context, s Spec, simulate runFunc) (Result, error) {
@@ -340,7 +342,13 @@ func run(ctx context.Context, s Spec, simulate runFunc) (Result, error) {
 	if _, err := ParsePrefetcher(string(opt.Prefetcher)); err != nil {
 		return Result{}, fmt.Errorf("sim: unknown prefetcher %q", opt.Prefetcher)
 	}
-	return simulate(ctx, name, stream, opt)
+	blocks := 0
+	if s.Stream == nil {
+		// A run touches no more blocks than its regions cover, and no
+		// more than the references it reads.
+		blocks = int(min(s.Workload.Blocks(opt.Hier.L1.BlockBytes), opt.WarmupRefs+opt.MeasureRefs))
+	}
+	return simulate(ctx, name, stream, opt, blocks)
 }
 
 // newVictimCache builds the configured victim cache (nil when off);
@@ -566,7 +574,7 @@ func assembleReference(opt Options, ev *events.Sink) *rig {
 // executable specification the engine is tested against. It captures
 // events at the hierarchy's own emit sites, but never audits, and its
 // core reports no progress: those hooks live in the engine alone.
-func runReference(ctx context.Context, name string, stream trace.Stream, opt Options) (Result, error) {
+func runReference(ctx context.Context, name string, stream trace.Stream, opt Options, _ int) (Result, error) {
 	if opt.DropSWPrefetch {
 		stream = &trace.DropSWPrefetch{S: stream}
 	}

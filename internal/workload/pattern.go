@@ -162,6 +162,61 @@ const blockBytes = 64
 // any cache's way size).
 const triadSkew = 11*1024 + 64
 
+// region is a span of byte addresses, lo to hi inclusive.
+type region struct{ lo, hi uint64 }
+
+// regions appends to out the address regions the component's references
+// fall in, by the address rules of pattern.next: every address next can
+// produce lies in one of them.
+func (c ComponentSpec) regions(out []region) []region {
+	stride := c.Stride
+	if stride == 0 {
+		stride = 8
+	}
+	// array appends an array walk of n elements from base, and the
+	// software prefetches that run PrefetchAhead bytes ahead of it.
+	array := func(base, n uint64) {
+		if n == 0 {
+			return
+		}
+		last := base + (n-1)*stride
+		out = append(out, region{base, last})
+		if c.PrefetchEvery > 0 {
+			out = append(out, region{base + c.PrefetchAhead, last + c.PrefetchAhead})
+		}
+	}
+	switch c.Kind {
+	case PatSeq:
+		array(c.Base, c.Bytes/stride)
+	case PatTriad:
+		for lane := uint64(0); lane < 3; lane++ {
+			array(c.Base+lane*(2*c.Bytes+triadSkew), c.Bytes/stride)
+		}
+	case PatRand:
+		out = append(out, region{c.Base, c.Base + c.Bytes - 1})
+	case PatChase:
+		size := c.NodeSize
+		if size == 0 {
+			size = 32
+		}
+		last := c.Base + uint64(c.Nodes-1)*size
+		if c.Touches > 1 {
+			last += 8 // the payload touch
+		}
+		out = append(out, region{c.Base, last})
+	case PatConflict:
+		// One address per tag and set: sets are a block apart, so a
+		// smaller block would leave gaps in a region spanning them.
+		for w := 0; w < max(c.Ways, c.WayPool); w++ {
+			for set := 0; set < c.Sets; set++ {
+				a := c.Base + uint64(w)*c.CacheBytes + uint64(set)*blockBytes
+				out = append(out, region{a, a})
+			}
+		}
+	}
+	return out
+}
+
 // pattern is the run-time state of one component.
 type pattern struct {
 	spec    ComponentSpec

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"timekeeping/internal/rng"
 	"timekeeping/internal/trace"
@@ -68,6 +70,30 @@ func (s *Spec) Validate() error {
 		}
 	}
 	return nil
+}
+
+// Blocks returns how many blocks of blockBytes bytes the benchmark's
+// address regions cover: the union of every component's regions,
+// software-prefetch targets included, counted in blocks. No stream built
+// from the Spec, at any seed or length, touches more distinct blocks. The
+// count is exact once a stream has touched every block of its regions;
+// an array stride or a chase node wider than a block leaves blocks that
+// no stream touches, and makes it loose. blockBytes must be positive.
+func (s *Spec) Blocks(blockBytes uint64) uint64 {
+	var regions []region
+	for _, c := range s.Components {
+		regions = c.regions(regions)
+	}
+	slices.SortFunc(regions, func(a, b region) int { return cmp.Compare(a.lo, b.lo) })
+	var blocks, next uint64 // next is the first block past those counted
+	for _, r := range regions {
+		lo, hi := max(r.lo/blockBytes, next), r.hi/blockBytes
+		if lo <= hi {
+			blocks += hi - lo + 1
+			next = hi + 1
+		}
+	}
+	return blocks
 }
 
 // Stream returns an infinite reference stream for the benchmark. The seed
