@@ -173,9 +173,9 @@ func fitSlots(n int) int {
 	return c
 }
 
-// fill puts the nonzero keys (from+1)*64 up to to*64 into tab, counting
+// putKeys puts the nonzero keys (from+1)*64 up to to*64 into tab, counting
 // each in want, and returns the slot counts tab grew to on the way.
-func fill(tab *Table[uint64], want map[uint64]uint64, from, to uint64) (grows []int) {
+func putKeys(tab *Table[uint64], want map[uint64]uint64, from, to uint64) (grows []int) {
 	for k := from + 1; k <= to; k++ {
 		before := tab.Slots()
 		v, _, _ := tab.Put(k * 64)
@@ -198,17 +198,17 @@ func TestTableExpect(t *testing.T) {
 	for _, n := range []int{13, 100, 768, 5000, 20000} {
 		tab, want := New[uint64](16), map[uint64]uint64{}
 		tab.Expect(n)
-		grows := fill(&tab, want, 0, uint64(n))
+		grows := putKeys(&tab, want, 0, uint64(n))
 		if len(grows) != 1 || grows[0] != fitSlots(n) {
 			t.Fatalf("n=%d: grew to %v slots, want once, to %d", n, grows, fitSlots(n))
 		}
-		if again := fill(&tab, want, 0, uint64(n)); len(again) != 0 {
+		if again := putKeys(&tab, want, 0, uint64(n)); len(again) != 0 {
 			t.Fatalf("n=%d: putting the same keys again grew the table to %v slots", n, again)
 		}
 		if got := contents(t, &tab); !maps.Equal(got, want) {
 			t.Fatalf("n=%d: Range visited %d keys, map holds %d, or their counts differ", n, len(got), len(want))
 		}
-		past := fill(&tab, want, uint64(n), uint64(3*fitSlots(n)/2))
+		past := putKeys(&tab, want, uint64(n), uint64(3*fitSlots(n)/2))
 		if len(past) != 1 || past[0] != 2*fitSlots(n) {
 			t.Fatalf("n=%d: filled past its size, the table grew to %v slots, want one doubling to %d",
 				n, past, 2*fitSlots(n))
@@ -227,7 +227,7 @@ func TestTableExpectNothing(t *testing.T) {
 	told.Expect(100)
 	told.Expect(0) // a later count replaces an earlier one
 	plain := New[uint64](16)
-	want := fill(&plain, map[uint64]uint64{}, 0, 5000)
+	want := putKeys(&plain, map[uint64]uint64{}, 0, 5000)
 	if len(want) < 8 {
 		t.Fatalf("the untold table grew %d times, want a doubling chain of at least 8", len(want))
 	}
@@ -235,7 +235,7 @@ func TestTableExpectNothing(t *testing.T) {
 		tab := New[uint64](16)
 		tab.Expect(100)
 		tab.Expect(n)
-		if got := fill(&tab, map[uint64]uint64{}, 0, 5000); !slices.Equal(got, want) {
+		if got := putKeys(&tab, map[uint64]uint64{}, 0, 5000); !slices.Equal(got, want) {
 			t.Errorf("expecting %d keys, the table grew to %v slots, want %v", n, got, want)
 		}
 	}
@@ -255,7 +255,7 @@ func TestTableTakeKeepsExpect(t *testing.T) {
 	} {
 		donor := New[uint64](16)
 		donor.Expect(3000)
-		fill(&donor, map[uint64]uint64{}, 0, 3000)
+		putKeys(&donor, map[uint64]uint64{}, 0, 3000)
 		if donor.Slots() != 4096 {
 			t.Fatalf("donor holds %d slots, want 4096", donor.Slots())
 		}
@@ -265,10 +265,10 @@ func TestTableTakeKeepsExpect(t *testing.T) {
 		if taker.Slots() != 4096 {
 			t.Fatalf("taker holds %d slots after Take, want the donor's 4096", taker.Slots())
 		}
-		if got := fill(&taker, map[uint64]uint64{}, 0, 3073); !slices.Equal(got, c.grows) {
+		if got := putKeys(&taker, map[uint64]uint64{}, 0, 3073); !slices.Equal(got, c.grows) {
 			t.Errorf("taker told %d keys grew to %v slots past 3/4 of 4096, want %v", c.expect, got, c.grows)
 		}
-		if got := fill(&donor, map[uint64]uint64{}, 0, 3000); !slices.Equal(got, []int{4096}) {
+		if got := putKeys(&donor, map[uint64]uint64{}, 0, 3000); !slices.Equal(got, []int{4096}) {
 			t.Errorf("refilled donor grew to %v slots, want its own fit, [4096]", got)
 		}
 	}
